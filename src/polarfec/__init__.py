@@ -43,7 +43,7 @@ from .construction import (
     to_spec_text,
     validate_domination,
 )
-from .quantized import FixedLlr, QuantSpec, quantize, sat_add, sat_sub, sc_decode_fixed
+from .quantized import QuantSpec, quantize, sc_decode_fixed
 from .reed_solomon import (
     GENERATOR_POLY,
     RsDecodeResult,
@@ -69,7 +69,6 @@ __all__ = [
     "CodeSpec",
     "ConstructionParams",
     "DecodeResult",
-    "FixedLlr",
     "GENERATOR_POLY",
     "NoCrossingError",
     "OOK_AMPLITUDE",
@@ -106,8 +105,6 @@ __all__ = [
     "rs_encode",
     "rs_syndromes",
     "run_sweep",
-    "sat_add",
-    "sat_sub",
     "sc_decode",
     "sc_decode_fixed",
     "to_spec_text",

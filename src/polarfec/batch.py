@@ -11,15 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def transform_rows(bits):
-    """Polar transform applied to every row of a (frames, N) bit array."""
-    x = np.array(bits, dtype=np.uint8, copy=True)
+def butterfly(x):
+    """Polar transform of x in place along its last axis; returns XORs per row.
+
+    Each of the log2(N) stages performs N/2 XORs, counted as they run.
+    """
     n_bits = x.shape[-1]
+    xors = 0
     dist = 1
     while dist < n_bits:
         for j in range(0, n_bits, 2 * dist):
             x[..., j : j + dist] ^= x[..., j + dist : j + 2 * dist]
+            xors += dist
         dist *= 2
+    return xors
+
+
+def transform_rows(bits):
+    """Polar transform applied to every row of a (frames, N) bit array."""
+    x = np.array(bits, dtype=np.uint8, copy=True)
+    butterfly(x)
     return x
 
 
@@ -55,8 +66,9 @@ def _sc_rows(llrs, frozen_mask, f_rows, g_rows):
 
 
 def _f_minsum_rows(a, b):
-    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
-    return sign * np.minimum(np.abs(a), np.abs(b))
+    """sign(a*b) * min(|a|, |b|) in the operands' dtype; a zero counts as positive."""
+    mag = np.minimum(np.abs(a), np.abs(b))
+    return np.where((a < 0) != (b < 0), -mag, mag)
 
 
 def _g_rows(a, b, bits):
@@ -83,7 +95,8 @@ def decode_exact_rows(llrs, spec):
 
 
 def quantize_rows(llrs, qspec):
-    """Row-wise quantizer: round half away from zero, then saturate."""
+    """Quantize an LLR array of any shape: scale by 2^fraction_bits, round
+    half away from zero, saturate to +/-max_mag; returns int32 grid values."""
     scaled = np.abs(llrs) * 2.0**qspec.fraction_bits
     raw = np.sign(llrs) * np.floor(scaled + 0.5)
     return np.clip(raw, -qspec.max_mag, qspec.max_mag).astype(np.int32)
@@ -94,15 +107,10 @@ def decode_fixed_rows(llrs, spec, qspec):
     raw = quantize_rows(np.asarray(llrs, dtype=float), qspec)
     max_mag = np.int32(qspec.max_mag)
 
-    def f_rows(a, b):
-        sign = np.where((a < 0) != (b < 0), np.int32(-1), np.int32(1))
-        return sign * np.minimum(np.abs(a), np.abs(b))
+    def g_sat_rows(a, b, bits):
+        return np.clip(_g_rows(a, b, bits), -max_mag, max_mag)
 
-    def g_rows(a, b, bits):
-        out = np.where(bits == 0, b + a, b - a)
-        return np.clip(out, -max_mag, max_mag)
-
-    return _sc_rows(raw, spec.frozen_mask(), f_rows, g_rows)
+    return _sc_rows(raw, spec.frozen_mask(), _f_minsum_rows, g_sat_rows)
 
 
 def hard_llr_rows(bits, saturation=1.0):

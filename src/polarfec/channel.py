@@ -95,7 +95,8 @@ def llr_from_awgn(received, params):
     log ratio of the two Gaussian likelihoods with means 0 and A.
     """
     y = np.asarray(received, dtype=float)
-    sigma2 = params.noise_sigma**2
+    sigma = params.noise_sigma
+    sigma2 = sigma * sigma  # correctly rounded; sigma**2 can differ in the last bit
     if params.modulation == "bpsk":
         return 2.0 * y / sigma2
     amp = OOK_AMPLITUDE

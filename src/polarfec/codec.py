@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import butterfly, encode_systematic_rows
 from .construction import is_power_of_two
 
 
@@ -28,7 +29,7 @@ class DecodeResult:
     u_hat : ndarray
         Estimated source vector, length N; zero at every frozen index.
     x_hat : ndarray
-        Re-encoded codeword estimate, u_hat carried through the butterfly.
+        Codeword estimate transform(u_hat): the decoder's root partial sums.
     info_bits : ndarray
         x_hat restricted to the information positions (the systematic payload).
     pe_op_count : int
@@ -49,7 +50,7 @@ def _as_bits(bits):
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("bit vector must be one-dimensional")
-    if not np.isin(arr, (0, 1)).all():
+    if arr.size and arr.max() > 1:
         raise ValueError("bit vector entries must be 0 or 1")
     return arr
 
@@ -69,16 +70,9 @@ def encode_nonsystematic(u_full, return_xor_count=False):
         When True, also return the number of XOR operations performed.
     """
     x = _as_bits(u_full).copy()
-    n_bits = len(x)
-    if not is_power_of_two(n_bits):
-        raise ValueError(f"length must be a power of two, got {n_bits}")
-    xors = 0
-    dist = 1
-    while dist < n_bits:
-        for j in range(0, n_bits, 2 * dist):
-            x[j : j + dist] ^= x[j + dist : j + 2 * dist]
-            xors += dist
-        dist *= 2
+    if not is_power_of_two(len(x)):
+        raise ValueError(f"length must be a power of two, got {len(x)}")
+    xors = butterfly(x)
     if return_xor_count:
         return x, xors
     return x
@@ -95,11 +89,7 @@ def encode_systematic(info, spec):
     msg = _as_bits(info)
     if len(msg) != spec.info_len:
         raise ValueError(f"expected {spec.info_len} info bits, got {len(msg)}")
-    a = np.zeros(spec.block_len, dtype=np.uint8)
-    a[list(spec.info_set)] = msg
-    t = encode_nonsystematic(a)
-    t[list(spec.frozen_set)] = 0
-    return encode_nonsystematic(t)
+    return encode_systematic_rows(msg[None, :], spec)[0]
 
 
 def f_exact(la, lb):
@@ -136,6 +126,35 @@ def g_func(la, lb, u_hat):
 _F_MODES = {"exact": f_exact, "minsum": f_minsum}
 
 
+def _sc_recursion(values, frozen, f, g):
+    """Scalar SC traversal shared by the float and fixed-point decoders.
+
+    values: the N channel values as a list; frozen: length-N mask; f(a, b)
+    and g(a, b, bit) combine one operand pair.  Returns (u_hat, x_hat,
+    pe_op_count), where x_hat is the root's partial sums, i.e. transform(u_hat).
+    """
+    u_hat = np.zeros(len(values), dtype=np.uint8)
+    ops = 0
+
+    def rec(v, base):
+        nonlocal ops
+        m = len(v)
+        if m == 1:
+            if not frozen[base] and v[0] < 0:
+                u_hat[base] = 1
+            return [int(u_hat[base])]
+        half = m // 2
+        a = v[:half]
+        b = v[half:]
+        left = rec([f(a[j], b[j]) for j in range(half)], base)
+        right = rec([g(a[j], b[j], left[j]) for j in range(half)], base + half)
+        ops += m
+        return [left[j] ^ right[j] for j in range(half)] + right
+
+    x_hat = np.array(rec(values, 0), dtype=np.uint8)
+    return u_hat, x_hat, ops
+
+
 def sc_decode(channel_llrs, spec, f_mode="minsum"):
     """Successive cancellation decode of one frame of channel LLRs.
 
@@ -143,7 +162,7 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
     decide the leaf bit (frozen index -> 0; otherwise 0 iff LLR >= 0, ties
     deciding 0), ascend applying G with the partial-sum feedback, and merge
     partial sums through the butterfly.  The systematic payload is read from
-    the re-encoded estimate x_hat = transform(u_hat).
+    the root partial sums x_hat = transform(u_hat).
 
     Parameters
     ----------
@@ -161,32 +180,12 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
         raise ValueError(f"expected {spec.block_len} LLRs, got {len(llrs)}")
     if f_mode not in _F_MODES:
         raise ValueError(f"f_mode must be one of {tuple(_F_MODES)}, got {f_mode!r}")
-    f = _F_MODES[f_mode]
-    frozen = spec.frozen_mask()
-    u_hat = np.zeros(spec.block_len, dtype=np.uint8)
-    ops = [0]
-
-    def rec(v, base):
-        m = len(v)
-        if m == 1:
-            if not frozen[base] and v[0] < 0:
-                u_hat[base] = 1
-            return [int(u_hat[base])]
-        half = m // 2
-        a = v[:half]
-        b = v[half:]
-        left = rec([f(a[j], b[j]) for j in range(half)], base)
-        right = rec([g_func(a[j], b[j], left[j]) for j in range(half)], base + half)
-        ops[0] += m
-        return [left[j] ^ right[j] for j in range(half)] + right
-
-    rec(llrs.tolist(), 0)
-    x_hat = encode_nonsystematic(u_hat)
+    u_hat, x_hat, ops = _sc_recursion(llrs.tolist(), spec.frozen_mask(), _F_MODES[f_mode], g_func)
     return DecodeResult(
         u_hat=u_hat,
         x_hat=x_hat,
         info_bits=x_hat[list(spec.info_set)],
-        pe_op_count=ops[0],
+        pe_op_count=ops,
     )
 
 

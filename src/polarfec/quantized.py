@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import DecodeResult, encode_nonsystematic
+from .batch import quantize_rows
+from .codec import DecodeResult, _sc_recursion, f_minsum, g_func
 
 
 @dataclass(frozen=True)
@@ -41,49 +42,12 @@ class QuantSpec:
         return 2.0 ** (-self.fraction_bits)
 
 
-@dataclass(frozen=True)
-class FixedLlr:
-    """A quantized LLR: raw integer plus its format."""
-
-    raw: int
-    spec: QuantSpec
-
-    def __post_init__(self):
-        if abs(self.raw) > self.spec.max_mag:
-            raise ValueError(f"raw {self.raw} exceeds +/-{self.spec.max_mag}")
-
-    @property
-    def value(self):
-        return self.raw * self.spec.step
-
-
 def quantize(value, qspec):
-    """Quantize a real LLR: scale by 2^fraction_bits, round half away from
-    zero, saturate to the representable range."""
+    """Quantize one real LLR to its raw grid integer: scale by
+    2^fraction_bits, round half away from zero, saturate to +/-max_mag."""
     if not math.isfinite(value):
         raise ValueError("LLR must be finite")
-    raw = int(math.copysign(math.floor(abs(value) * 2.0**qspec.fraction_bits + 0.5), value))
-    raw = max(-qspec.max_mag, min(qspec.max_mag, raw))
-    return FixedLlr(raw, qspec)
-
-
-def _check_same_spec(a, b):
-    if a.spec != b.spec:
-        raise ValueError("operands must share one QuantSpec")
-
-
-def sat_add(a, b):
-    """Saturating add of two FixedLlr values in the same format."""
-    _check_same_spec(a, b)
-    m = a.spec.max_mag
-    return FixedLlr(max(-m, min(m, a.raw + b.raw)), a.spec)
-
-
-def sat_sub(a, b):
-    """Saturating subtract of two FixedLlr values in the same format."""
-    _check_same_spec(a, b)
-    m = a.spec.max_mag
-    return FixedLlr(max(-m, min(m, a.raw - b.raw)), a.spec)
+    return int(quantize_rows(value, qspec))
 
 
 def sc_decode_fixed(channel_llrs, spec, qspec):
@@ -102,56 +66,28 @@ def sc_decode_fixed(channel_llrs, spec, qspec):
     llrs = np.asarray(channel_llrs, dtype=float)
     if len(llrs) != spec.block_len:
         raise ValueError(f"expected {spec.block_len} LLRs, got {len(llrs)}")
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLR must be finite")
     max_mag = qspec.max_mag
-    sat_events = [0]
+    # A channel LLR saturates exactly when it lies half a grid step or more
+    # beyond the largest magnitude, because it then rounds past max_mag.
+    sat_events = int(np.count_nonzero(np.abs(llrs) >= (max_mag + 0.5) * qspec.step))
 
-    def clamp(value):
-        if value > max_mag:
-            sat_events[0] += 1
-            return max_mag
-        if value < -max_mag:
-            sat_events[0] += 1
-            return -max_mag
-        return value
+    def g_sat(la, lb, bit):
+        nonlocal sat_events
+        out = g_func(la, lb, bit)
+        if -max_mag <= out <= max_mag:
+            return out
+        sat_events += 1
+        return max_mag if out > 0 else -max_mag
 
-    scale = 2.0**qspec.fraction_bits
-    raw = []
-    for v in llrs:
-        if not math.isfinite(v):
-            raise ValueError("LLR must be finite")
-        raw.append(clamp(int(math.copysign(math.floor(abs(v) * scale + 0.5), v))))
-
-    frozen = spec.frozen_mask()
-    u_hat = np.zeros(spec.block_len, dtype=np.uint8)
-    ops = [0]
-
-    def f_int(la, lb):
-        mag = min(abs(la), abs(lb))
-        return -mag if (la < 0) != (lb < 0) else mag
-
-    def g_int(la, lb, bit):
-        return clamp(lb + la) if bit == 0 else clamp(lb - la)
-
-    def rec(v, base):
-        m = len(v)
-        if m == 1:
-            if not frozen[base] and v[0] < 0:
-                u_hat[base] = 1
-            return [int(u_hat[base])]
-        half = m // 2
-        a = v[:half]
-        b = v[half:]
-        left = rec([f_int(a[j], b[j]) for j in range(half)], base)
-        right = rec([g_int(a[j], b[j], left[j]) for j in range(half)], base + half)
-        ops[0] += m
-        return [left[j] ^ right[j] for j in range(half)] + right
-
-    rec(raw, 0)
-    x_hat = encode_nonsystematic(u_hat)
+    u_hat, x_hat, ops = _sc_recursion(
+        quantize_rows(llrs, qspec).tolist(), spec.frozen_mask(), f_minsum, g_sat
+    )
     return DecodeResult(
         u_hat=u_hat,
         x_hat=x_hat,
         info_bits=x_hat[list(spec.info_set)],
-        pe_op_count=ops[0],
-        saturation_events=sat_events[0],
+        pe_op_count=ops,
+        saturation_events=sat_events,
     )

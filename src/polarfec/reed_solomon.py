@@ -69,6 +69,52 @@ def _compute_generator():
 # (x-a)(x-a^2)(x-a^3)(x-a^4) = x^4 + 13x^3 + 12x^2 + 8x + 7
 GENERATOR_POLY = _compute_generator()
 
+_NIBBLE_SHIFTS = 4 * np.arange(N_PARITY)
+_GF16_MUL = np.array([[gf16_mul(a, b) for b in range(16)] for a in range(16)], dtype=np.uint8)
+
+
+def _gf16_map_table(matrix):
+    """Flat product table of a GF(16) matrix M of shape (P, N_PARITY).
+
+    Entry p*16 + s packs the row s * M[p], one symbol per nibble, so that a
+    gather plus one XOR-reduce over positions evaluates all outputs at once.
+    """
+    m = np.asarray(matrix)
+    products = _GF16_MUL[:, m].transpose(1, 0, 2).reshape(-1, N_PARITY).astype(np.int64)
+    return np.bitwise_or.reduce(products << _NIBBLE_SHIFTS, axis=1)
+
+
+def _gf16_map(rows, table):
+    """GF(16)-linear map of symbol rows: out[c] = XOR over p of row[p] * M[p, c].
+
+    Returns an int64 array of shape (..., N_PARITY).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    packed = np.bitwise_xor.reduce(table[rows + 16 * np.arange(rows.shape[-1])], axis=-1)
+    return (packed[..., None] >> _NIBBLE_SHIFTS) & 15
+
+
+def _parity_rows():
+    """Parity of a unit message at each info position: x^(14-p) mod g(x)."""
+    rem = list(GENERATOR_POLY[1:])  # x^4 mod g, descending coefficients
+    rows = []
+    for _ in range(K_SYMBOLS):
+        rows.append(rem)
+        lead = rem[0]
+        rem = [c ^ gf16_mul(lead, gc) for c, gc in zip(rem[1:] + [0], GENERATOR_POLY[1:])]
+    return rows[::-1]
+
+
+# Encoding is linear, so parity = XOR of info[p] * parity(unit message at p).
+_PARITY_TABLE = _gf16_map_table(_parity_rows())
+# Syndrome S_j = sum over i of received[i] * alpha^(j * (14 - i)).
+_SYNDROME_TABLE = _gf16_map_table(
+    [
+        [int(GF16_EXP[j * (N_SYMBOLS - 1 - i) % 15]) for j in range(1, N_PARITY + 1)]
+        for i in range(N_SYMBOLS)
+    ]
+)
+
 
 @dataclass(frozen=True)
 class RsDecodeResult:
@@ -98,27 +144,13 @@ def rs_encode(info_symbols):
     syndrome of the result is zero.
     """
     info = _check_symbols(info_symbols, K_SYMBOLS)
-    rem = info + [0] * N_PARITY
-    for i in range(K_SYMBOLS):
-        c = rem[i]
-        if c:
-            for j in range(1, N_PARITY + 1):
-                rem[i + j] ^= gf16_mul(GENERATOR_POLY[j], c)
-        rem[i] = 0
-    return info + rem[K_SYMBOLS:]
+    return info + _gf16_map([info], _PARITY_TABLE)[0].tolist()
 
 
 def rs_syndromes(received):
     """Evaluate the received polynomial at alpha^1 .. alpha^4."""
     r = _check_symbols(received, N_SYMBOLS)
-    out = []
-    for j in range(1, N_PARITY + 1):
-        alpha_j = int(GF16_EXP[j])
-        acc = 0
-        for c in r:
-            acc = gf16_mul(acc, alpha_j) ^ c
-        out.append(acc)
-    return out
+    return _gf16_map([r], _SYNDROME_TABLE)[0].tolist()
 
 
 def rs_decode(received):
@@ -225,42 +257,18 @@ def _forney_correct(word, synd, locator, positions):
     return True
 
 
-def _gf16_mul_vec(values, scalar):
-    """Multiply an array of GF(16) elements by one nonzero scalar."""
-    values = np.asarray(values)
-    out = GF16_EXP[(GF16_LOG[values] + GF16_LOG[scalar]) % 15]
-    return np.where(values == 0, 0, out)
-
-
 def rs_encode_rows(info_rows):
     """Row-wise systematic encoding of a (frames, 11) symbol array.
 
     Matches rs_encode on every row; used by the Monte-Carlo engine.
     """
-    info = np.asarray(info_rows, dtype=np.int64)
-    frames = info.shape[0]
-    rem = np.zeros((frames, N_SYMBOLS), dtype=np.int64)
-    rem[:, :K_SYMBOLS] = info
-    for i in range(K_SYMBOLS):
-        feedback = rem[:, i].copy()
-        for j in range(1, N_PARITY + 1):
-            rem[:, i + j] ^= _gf16_mul_vec(feedback, GENERATOR_POLY[j])
-        rem[:, i] = 0
-    out = np.concatenate([info, rem[:, K_SYMBOLS:]], axis=1)
-    return out.astype(np.uint8)
+    info = np.asarray(info_rows, dtype=np.uint8)
+    return np.concatenate([info, _gf16_map(info, _PARITY_TABLE).astype(np.uint8)], axis=1)
 
 
 def rs_syndromes_rows(received_rows):
     """Row-wise syndromes of a (frames, 15) symbol array, shape (frames, 4)."""
-    r = np.asarray(received_rows, dtype=np.int64)
-    out = np.zeros((r.shape[0], N_PARITY), dtype=np.int64)
-    for j in range(1, N_PARITY + 1):
-        alpha_j = int(GF16_EXP[j])
-        acc = np.zeros(r.shape[0], dtype=np.int64)
-        for i in range(N_SYMBOLS):
-            acc = _gf16_mul_vec(acc, alpha_j) ^ r[:, i]
-        out[:, j - 1] = acc
-    return out
+    return _gf16_map(received_rows, _SYNDROME_TABLE)
 
 
 def symbols_to_bits(symbols):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import batch, reed_solomon
+from . import batch, channel, reed_solomon
 from .construction import CodeSpec, bhattacharyya_construct
 from .quantized import QuantSpec
 
@@ -162,7 +162,8 @@ def _frame_shape(config, spec):
 def _simulate_chunk(args):
     """Simulate frames [start, start+count) of one point; returns per-frame
     bit-error counts and frame-error flags."""
-    config, spec, point_seed, start, count, sigma = args
+    config, spec, point_seed, start, count, params = args
+    sigma = params.noise_sigma
     payload_bits, channel_bits, _ = _frame_shape(config, spec)
     messages = np.empty((count, payload_bits), dtype=np.uint8)
     noise = np.empty((count, channel_bits))
@@ -173,22 +174,21 @@ def _simulate_chunk(args):
         noise[i] = gen.normal(0.0, sigma, size=channel_bits)
 
     if config.decoder == "rs15_11":
-        decoded = _run_rs_frames(messages, noise)
+        decoded = _run_rs_frames(messages, noise, params)
     else:
-        decoded = _run_polar_frames(config, spec, messages, noise, sigma)
+        decoded = _run_polar_frames(config, spec, messages, noise, params)
     wrong = decoded != messages
     return wrong.sum(axis=1).astype(np.int64), wrong.any(axis=1)
 
 
-def _run_polar_frames(config, spec, messages, noise, sigma):
+def _run_polar_frames(config, spec, messages, noise, params):
     codewords = batch.encode_systematic_rows(messages, spec)
-    received = (1.0 - 2.0 * codewords.astype(float)) + noise
+    received = channel.modulate(codewords) + noise
     if config.decoder == "hard":
-        hard_bits = (received < 0).astype(np.uint8)
-        llrs = batch.hard_llr_rows(hard_bits)
+        llrs = batch.hard_llr_rows(channel.hard_slice(received, params))
         u_hat = batch.decode_minsum_rows(llrs, spec)
     else:
-        llrs = 2.0 * received / (sigma * sigma)
+        llrs = channel.llr_from_awgn(received, params)
         if config.decoder == "soft_minsum":
             u_hat = batch.decode_minsum_rows(llrs, spec)
         elif config.decoder == "soft_exact":
@@ -201,13 +201,12 @@ def _run_polar_frames(config, spec, messages, noise, sigma):
     return x_hat[:, list(spec.info_set)]
 
 
-def _run_rs_frames(messages, noise):
+def _run_rs_frames(messages, noise, params):
     info_symbols = reed_solomon.bits_to_symbols(messages)
     codewords = reed_solomon.rs_encode_rows(info_symbols)
     code_bits = reed_solomon.symbols_to_bits(codewords)
-    received = (1.0 - 2.0 * code_bits.astype(float)) + noise
-    hard_bits = (received < 0).astype(np.uint8)
-    received_symbols = reed_solomon.bits_to_symbols(hard_bits)
+    received = channel.modulate(code_bits) + noise
+    received_symbols = reed_solomon.bits_to_symbols(channel.hard_slice(received, params))
     syndromes = reed_solomon.rs_syndromes_rows(received_symbols)
     decoded_symbols = received_symbols[:, : reed_solomon.K_SYMBOLS].copy()
     for idx in np.flatnonzero(syndromes.any(axis=1)):
@@ -228,13 +227,13 @@ def run_sweep(config, workers=1):
     points = []
     for point_index, ebn0 in enumerate(config.ebn0_points()):
         _, _, rate = _frame_shape(config, spec)
-        sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0 / 10.0)))
+        params = channel.ChannelParams(ebn0, rate)
         pseed = point_seed_for(config.master_seed, point_index)
         chunks = []
         start = 0
         while start < config.max_frames:
             count = min(CHUNK_FRAMES, config.max_frames - start)
-            chunks.append((config, spec, pseed, start, count, sigma))
+            chunks.append((config, spec, pseed, start, count, params))
             start += count
         points.append(_reduce_point(ebn0, config, spec, chunks, workers))
     return points

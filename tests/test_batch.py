@@ -1,14 +1,11 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
-from polarfec import (
-    QuantSpec,
-    encode_nonsystematic,
-    encode_systematic,
-    quantize,
-    sc_decode,
-    sc_decode_fixed,
-)
+import oracles
+from polarfec import QuantSpec, quantize, sc_decode, sc_decode_fixed
 from polarfec.batch import (
     decode_exact_rows,
     decode_fixed_rows,
@@ -21,17 +18,23 @@ from polarfec.batch import (
 
 
 def test_transform_rows_matches_scalar(rng):
+    # reference: explicit Kronecker generator matrix
     bits = rng.integers(0, 2, (100, 32)).astype(np.uint8)
     rows = transform_rows(bits)
     for i in range(100):
-        assert np.array_equal(rows[i], encode_nonsystematic(bits[i]))
+        assert np.array_equal(rows[i], oracles.matrix_encode(bits[i]))
 
 
-def test_encode_systematic_rows_matches_scalar(spec16_11, rng):
-    msgs = rng.integers(0, 2, (100, 11)).astype(np.uint8)
+def test_encode_systematic_rows_matches_scalar(spec8_5, spec16_11, rng):
+    # reference: the systematic codeword found by exhaustive search
+    msgs = np.array(list(product((0, 1), repeat=5)), dtype=np.uint8)
+    rows = encode_systematic_rows(msgs, spec8_5)
+    for i in range(len(msgs)):
+        assert np.array_equal(rows[i], oracles.solve_systematic_bruteforce(msgs[i], spec8_5))
+    msgs = rng.integers(0, 2, (5, 11)).astype(np.uint8)
     rows = encode_systematic_rows(msgs, spec16_11)
-    for i in range(100):
-        assert np.array_equal(rows[i], encode_systematic(msgs[i], spec16_11))
+    for i in range(5):
+        assert np.array_equal(rows[i], oracles.solve_systematic_bruteforce(msgs[i], spec16_11))
 
 
 @pytest.mark.parametrize("shape", [(16, 11), (8, 5), (128, 96)])
@@ -40,8 +43,12 @@ def test_decode_minsum_rows_matches_scalar(shape, rng):
 
     spec = bhattacharyya_construct(*shape)
     llrs = rng.normal(0, 2, (80, shape[0]))
+    if shape[0] == 128:
+        # hard +/-1 inputs: G yields exact zeros, so F and the leaves see ties
+        hard = np.where(rng.random((40, 128)) < 0.05, -1.0, 1.0)
+        llrs = np.concatenate([llrs, hard])
     rows = decode_minsum_rows(llrs, spec)
-    for i in range(80):
+    for i in range(len(llrs)):
         assert np.array_equal(rows[i], sc_decode(llrs[i], spec, "minsum").u_hat)
 
 
@@ -53,20 +60,31 @@ def test_decode_exact_rows_matches_scalar(spec16_11, rng):
 
 
 @pytest.mark.parametrize("qbits", [4, 5, 10])
-def test_decode_fixed_rows_matches_scalar(qbits, spec16_11, rng):
+def test_decode_fixed_rows_matches_scalar(qbits, spec16_11, spec128_96, rng):
     qspec = QuantSpec(qbits, 1)
-    llrs = rng.normal(0, 4, (150, 16))
-    rows = decode_fixed_rows(llrs, spec16_11, qspec)
-    for i in range(150):
-        assert np.array_equal(rows[i], sc_decode_fixed(llrs[i], spec16_11, qspec).u_hat)
+    cases = [(spec16_11, rng.normal(0, 4, (150, 16)))]
+    if qbits == 4:
+        # heavy saturation: most channel values and G sums clamp at +/-7
+        cases.append((spec128_96, rng.normal(1.0, 8, (40, 128))))
+    for spec, llrs in cases:
+        rows = decode_fixed_rows(llrs, spec, qspec)
+        for i in range(len(llrs)):
+            assert np.array_equal(rows[i], sc_decode_fixed(llrs[i], spec, qspec).u_hat)
+
+
+def _quantize_reference(value, qspec):
+    """Round half away from zero on the grid, then saturate, in Python ints."""
+    raw = int(math.copysign(math.floor(abs(value) * 2.0**qspec.fraction_bits + 0.5), value))
+    return max(-qspec.max_mag, min(qspec.max_mag, raw))
 
 
 def test_quantize_rows_matches_scalar(rng):
     qspec = QuantSpec(5, 1)
-    values = np.concatenate([rng.normal(0, 5, 500), [0.0, 1.25, -1.25, 100.0, -100.0, 3.7]])
+    edges = [0.0, 1.25, -1.25, 100.0, -100.0, 3.7, 7.75, -7.7499]
+    values = np.concatenate([rng.normal(0, 5, 500), edges])
     rows = quantize_rows(values, qspec)
     for v, raw in zip(values, rows):
-        assert raw == quantize(float(v), qspec).raw
+        assert raw == _quantize_reference(float(v), qspec) == quantize(float(v), qspec)
 
 
 def test_hard_llr_rows():

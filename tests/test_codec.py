@@ -84,8 +84,8 @@ class TestEncodeSystematic:
             assert np.array_equal(encode_systematic(m, spec128_96)[info], m)
 
     def test_transparency_bulk_128_96(self, spec128_96, rng):
-        # 10^5 sampled messages through the row engine (proven equal to the
-        # scalar encoder in test_batch)
+        # 10^5 sampled messages through the row engine (checked against the
+        # brute-force systematic solver in test_batch)
         from polarfec.batch import encode_systematic_rows
 
         messages = rng.integers(0, 2, (100_000, 96)).astype(np.uint8)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from polarfec import (
-    FixedLlr,
     QuantSpec,
+    bhattacharyya_construct,
     encode_systematic,
     quantize,
-    sat_add,
-    sat_sub,
     sc_decode,
     sc_decode_fixed,
 )
@@ -31,53 +29,30 @@ class TestQuantSpec:
             QuantSpec(5, 5)
         with pytest.raises(ValueError):
             QuantSpec(5, -1)
-        with pytest.raises(ValueError):
-            FixedLlr(16, Q5)
 
 
 class TestQuantize:
     def test_zero(self):
-        assert quantize(0.0, Q5).raw == 0
+        assert quantize(0.0, Q5) == 0
 
     def test_rounding(self):
-        assert quantize(3.7, Q5).raw == 7  # round(7.4)
-        assert quantize(-3.7, Q5).raw == -7
+        assert quantize(3.7, Q5) == 7  # round(7.4)
+        assert quantize(-3.7, Q5) == -7
 
     def test_half_away_from_zero(self):
-        assert quantize(1.25, Q5).raw == 3
-        assert quantize(-1.25, Q5).raw == -3
+        assert quantize(1.25, Q5) == 3
+        assert quantize(-1.25, Q5) == -3
 
     def test_saturation(self):
-        assert quantize(100.0, Q5).raw == 15
-        assert quantize(-100.0, Q5).raw == -15
+        assert quantize(100.0, Q5) == 15
+        assert quantize(-100.0, Q5) == -15
 
     def test_value_round_trip(self):
-        fx = quantize(3.5, Q5)
-        assert fx.value == 3.5
+        assert quantize(3.5, Q5) * Q5.step == 3.5
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             quantize(float("inf"), Q5)
-
-
-class TestSaturatingArithmetic:
-    def test_add_clamps(self):
-        assert sat_add(FixedLlr(10, Q5), FixedLlr(10, Q5)).raw == 15
-
-    def test_sub_clamps(self):
-        assert sat_sub(FixedLlr(-12, Q5), FixedLlr(6, Q5)).raw == -15
-
-    def test_add_identity(self):
-        for raw in range(-15, 16):
-            assert sat_add(FixedLlr(raw, Q5), FixedLlr(0, Q5)).raw == raw
-
-    def test_plain_arithmetic_inside_range(self):
-        assert sat_add(FixedLlr(3, Q5), FixedLlr(-5, Q5)).raw == -2
-        assert sat_sub(FixedLlr(3, Q5), FixedLlr(-5, Q5)).raw == 8
-
-    def test_rejects_mixed_specs(self):
-        with pytest.raises(ValueError):
-            sat_add(FixedLlr(1, Q5), FixedLlr(1, QuantSpec(4, 1)))
 
 
 class TestFixedDecode:
@@ -120,6 +95,11 @@ class TestFixedDecode:
     def test_saturation_instrumented(self, spec16_11):
         res = sc_decode_fixed(np.full(16, 50.0), spec16_11, Q5)
         assert res.saturation_events >= 16  # at least every channel quantization clipped
+        # (2,1) freezes bit 0, so its single G computes v + (-v) = 0 and only
+        # the channel can clamp: 7.75 rounds to 16 and clips, 7.7499 rounds to 15
+        spec = bhattacharyya_construct(2, 1)
+        assert sc_decode_fixed([7.75, -7.75], spec, Q5).saturation_events == 2
+        assert sc_decode_fixed([7.7499, -7.7499], spec, Q5).saturation_events == 0
 
     def test_result_invariants(self, spec16_11, rng):
         from polarfec import encode_nonsystematic

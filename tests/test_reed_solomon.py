@@ -16,6 +16,17 @@ def random_info(rng):
     return [int(v) for v in rng.integers(0, 16, 11)]
 
 
+def _poly_mod(dividend, divisor):
+    """Remainder of GF(16) polynomial long division, descending coefficients;
+    divisor must be monic."""
+    rem = list(dividend)
+    for i in range(len(rem) - len(divisor) + 1):
+        lead = rem[i]
+        for k, c in enumerate(divisor):
+            rem[i + k] ^= gf16_mul(lead, c)
+    return rem[len(rem) - len(divisor) + 1 :]
+
+
 class TestField:
     def test_mul_identity_exhaustive(self):
         for a in range(16):
@@ -161,16 +172,25 @@ class TestDistance:
 
 class TestRowKernels:
     def test_encode_rows_matches_scalar(self, rng):
+        # reference: systematic prefix, and a codeword polynomial that the
+        # generator divides, so it vanishes at every generator root
         infos = rng.integers(0, 16, (200, 11))
         rows = rs_encode_rows(infos)
         for i in range(200):
-            assert rows[i].tolist() == rs_encode([int(v) for v in infos[i]])
+            word = rows[i].tolist()
+            assert word[:11] == infos[i].tolist()
+            assert _poly_mod(word, GENERATOR_POLY) == [0] * 4
+            for j in range(1, 5):
+                assert oracles.gf16_poly_eval(word, int(GF16_EXP[j]), gf16_mul) == 0
 
     def test_syndromes_rows_matches_scalar(self, rng):
+        # reference: Horner evaluation of the received polynomial at alpha^j
         words = rng.integers(0, 16, (200, 15))
         rows = rs_syndromes_rows(words)
         for i in range(200):
-            assert rows[i].tolist() == rs_syndromes([int(v) for v in words[i]])
+            word = [int(v) for v in words[i]]
+            expected = [oracles.gf16_poly_eval(word, int(GF16_EXP[j]), gf16_mul) for j in range(1, 5)]
+            assert rows[i].tolist() == expected
 
     def test_bit_packing_round_trip(self, rng):
         symbols = rng.integers(0, 16, (50, 15)).astype(np.uint8)

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from polarfec import (
+    ChannelParams,
     NoCrossingError,
     RngStream,
     SweepConfig,
@@ -41,8 +42,9 @@ class TestFrameStreams:
 
         config = small_config(code=spec16_11)
         seed = point_seed_for(config.master_seed, 0)
-        bits_bulk, flags_bulk = _simulate_chunk((config, spec16_11, seed, 0, 2048, 0.6))
-        bits_one, flags_one = _simulate_chunk((config, spec16_11, seed, 1000, 1, 0.6))
+        params = ChannelParams(2.0, 11 / 16)
+        bits_bulk, flags_bulk = _simulate_chunk((config, spec16_11, seed, 0, 2048, params))
+        bits_one, flags_one = _simulate_chunk((config, spec16_11, seed, 1000, 1, params))
         assert bits_one[0] == bits_bulk[1000]
         assert flags_one[0] == flags_bulk[1000]
 
