@@ -13,16 +13,13 @@ from .architecture import (
     build_schedule,
     format_trace,
     latency_clocks,
-    pe_count,
 )
 from .channel import (
     OOK_AMPLITUDE,
     ChannelParams,
-    RngStream,
     hard_slice,
     llr_from_awgn,
     modulate,
-    transmit_awgn,
 )
 from .codec import (
     DecodeResult,
@@ -74,7 +71,6 @@ __all__ = [
     "OOK_AMPLITUDE",
     "PeActivation",
     "QuantSpec",
-    "RngStream",
     "RsDecodeResult",
     "ScheduleTrace",
     "SweepConfig",
@@ -99,7 +95,6 @@ __all__ = [
     "modulate",
     "parse_csv",
     "parse_spec_text",
-    "pe_count",
     "quantize",
     "rs_decode",
     "rs_encode",
@@ -108,6 +103,5 @@ __all__ = [
     "sc_decode",
     "sc_decode_fixed",
     "to_spec_text",
-    "transmit_awgn",
     "validate_domination",
 ]

@@ -11,7 +11,9 @@ Three hardware scheduling strategies for the same processing-element tree
   and the last-stage PE is modified to expose both its F and G outputs, so
   every clock decides one bit pair: N/2 clocks.
 
-The model is transaction level: combinational depth inside a clock is
+Each design is a data-independent clock plan: the same SC node operations
+(F or G at a stage on a node), grouped into clocks.  One executor runs any
+plan.  The model is transaction level: combinational depth inside a clock is
 represented by activation ordering, not timing.  Traces are executed
 functionally with min-sum arithmetic and must decode bit-identically to the
 reference decoder; the schedules reorder computation, never change it.
@@ -20,6 +22,7 @@ reference decoder; the schedules reorder computation, never change it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,16 +58,6 @@ def latency_clocks(n_bits, arch):
     if arch == "two_bit_sc":
         return 3 * n_bits // 2 - 2
     return n_bits // 2
-
-
-def pe_count(spec, arch):
-    """Processing elements in the PE tree: N/2 + N/4 + ... + 1 = N - 1.
-
-    All three designs instantiate the full tree; the proposed one modifies
-    the final PE to expose both function outputs.
-    """
-    _check_arch(arch)
-    return spec.block_len - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,12 +109,10 @@ def build_schedule(spec, arch, channel_llrs):
     llrs = np.asarray(channel_llrs, dtype=float)
     if len(llrs) != spec.block_len:
         raise ValueError(f"expected {spec.block_len} LLRs, got {len(llrs)}")
-    if arch == "proposed":
-        activations, pairs = _run_combinational(spec, llrs)
-    else:
-        activations, pairs = _run_staged(spec, llrs, merge_last=(arch == "two_bit_sc"))
-    total = activations[-1].clock + 1
     expected = latency_clocks(spec.block_len, arch)
+    plan = _clock_plan(spec.stages, arch)
+    activations, pairs = _execute(plan, llrs.tolist(), spec.frozen_mask().tolist())
+    total = activations[-1].clock + 1
     if total != expected:
         raise AssertionError(
             f"schedule produced {total} clocks, formula says {expected}"
@@ -135,118 +126,93 @@ def build_schedule(spec, arch, channel_llrs):
     )
 
 
-def _decide(llr_value, index, frozen):
-    if frozen[index]:
-        return 0
-    return 1 if llr_value < 0 else 0
+@lru_cache(maxsize=16)
+def _clock_plan(stages, arch):
+    """Data-independent clock plan: the SC node operations grouped into clocks.
 
-
-def _run_staged(spec, llrs, merge_last):
-    """Conventional / 2b-SC: one node activation per clock, depth-first.
-
-    With merge_last, a size-2 node's F and G collapse into a single "FG"
-    clock whose G input is the F decision made the same clock.
+    Walks the SC tree depth-first (F, left subtree, G, right subtree).  A
+    node operation is (function, stage, node_base, fixed): fixed holds the
+    prebuilt activations of an F, whose fields do not depend on the data,
+    and the operand index pairs of a G or FG.  conventional gives every F
+    and G visit its own clock; two_bit_sc merges a size-2 node's F and G
+    into one FG clock; proposed gives each size-2 node one clock holding its
+    root-to-node F/G path plus the FG.
     """
-    frozen = spec.frozen_mask()
-    activations = []
-    pairs = []
-    clock = [-1]
+    clocks = []
 
-    def next_clock():
-        clock[0] += 1
-        pairs.append([])
-        return clock[0]
-
-    def rec(v, base):
-        m = len(v)
-        half = m // 2
-        stage = half.bit_length() - 1
-        a = v[:half]
-        b = v[half:]
-        f_out = [f_minsum(a[j], b[j]) for j in range(half)]
-        if m == 2 and merge_last:
-            c = next_clock()
-            bit0 = _decide(f_out[0], base, frozen)
-            g_out = g_func(a[0], b[0], bit0)
-            bit1 = _decide(g_out, base + 1, frozen)
-            activations.append(
-                PeActivation(c, stage, "FG", (0, 1), 1, bit0, base)
-            )
-            pairs[c] += [(base, bit0), (base + 1, bit1)]
-            return [bit0 ^ bit1, bit1]
-
-        c = next_clock()
-        for j in range(half):
-            activations.append(PeActivation(c, stage, "F", (j, j + half), 0, None, base))
-        if m == 2:
-            bit0 = _decide(f_out[0], base, frozen)
-            pairs[c].append((base, bit0))
-            left = [bit0]
-        else:
-            left = rec(f_out, base)
-
-        g_out = [g_func(a[j], b[j], left[j]) for j in range(half)]
-        c = next_clock()
-        for j in range(half):
-            activations.append(
-                PeActivation(c, stage, "G", (j, j + half), 1, left[j], base)
-            )
-        if m == 2:
-            bit1 = _decide(g_out[0], base + 1, frozen)
-            pairs[c].append((base + 1, bit1))
-            right = [bit1]
-        else:
-            right = rec(g_out, base + half)
-        return [left[j] ^ right[j] for j in range(half)] + right
-
-    rec(llrs.tolist(), 0)
-    return activations, pairs
-
-
-def _run_combinational(spec, llrs):
-    """Proposed design: every clock recomputes the whole stage path.
-
-    Clock c decodes the pair (u_2c, u_2c+1).  Stage s applies F when bit
-    s-1 of c is zero, else G fed by the partial sums of the already decided
-    left block; the modified stage-0 PE emits both outputs, the first bit
-    feeding the second bit's G input within the same clock.
-    """
-    n = spec.stages
-    n_bits = spec.block_len
-    frozen = spec.frozen_mask()
-    u_hat = np.zeros(n_bits, dtype=np.uint8)
-    activations = []
-    pairs = []
-    llr_list = llrs.tolist()
-    for c in range(n_bits // 2):
-        pairs.append([])
-        v = llr_list
-        base = 0
-        for stage in range(n - 1, 0, -1):
+    def emit(path):
+        clock = len(clocks)
+        steps = []
+        for function, stage, base in path:
             half = 1 << stage
-            a = v[:half]
-            b = v[half:]
-            if (c >> (stage - 1)) & 1 == 0:
-                for j in range(half):
-                    activations.append(
-                        PeActivation(c, stage, "F", (j, j + half), 0, None, base)
-                    )
-                v = [f_minsum(a[j], b[j]) for j in range(half)]
+            operands = tuple((j, j + half) for j in range(half))
+            if function == "F":
+                operands = tuple(PeActivation(clock, stage, "F", ab, 0, None, base) for ab in operands)
+            steps.append((function, stage, base, operands))
+        clocks.append(tuple(steps))
+
+    def walk(stage, base, path):
+        if stage == 0 and arch != "conventional":
+            emit(path + (("FG", 0, base),))
+            return
+        for function, child_base in (("F", base), ("G", base + (1 << stage))):
+            op = (function, stage, base)
+            if arch == "proposed":
+                walk(stage - 1, child_base, path + (op,))
             else:
-                beta = encode_nonsystematic(u_hat[base : base + half])
-                for j in range(half):
-                    activations.append(
-                        PeActivation(c, stage, "G", (j, j + half), 1, int(beta[j]), base)
-                    )
-                v = [g_func(a[j], b[j], int(beta[j])) for j in range(half)]
-                base += half
-        i0, i1 = 2 * c, 2 * c + 1
-        bit0 = _decide(f_minsum(v[0], v[1]), i0, frozen)
-        bit1 = _decide(g_func(v[0], v[1], bit0), i1, frozen)
-        activations.append(PeActivation(c, 0, "FG", (0, 1), 1, bit0, i0))
-        u_hat[i0] = bit0
-        u_hat[i1] = bit1
-        pairs[c] += [(i0, bit0), (i1, bit1)]
+                emit((op,))
+                if stage:
+                    walk(stage - 1, child_base, ())
+
+    walk(stages - 1, 0, ())
+    return tuple(clocks)
+
+
+def _execute(plan, llrs, frozen):
+    """Run a clock plan on per-stage LLR buffers with min-sum F and G.
+
+    An operation at stage s reads its node's 2^(s+1) LLRs from buffer s + 1
+    and writes its child's 2^s LLRs to buffer s; at stage 0 that child is a
+    leaf and its bit is decided.  A G takes as feedback the partial sums of
+    its node's decided left block.  Returns (activations, decoded_pairs).
+    """
+    buffers = [None] * (len(llrs).bit_length() - 1) + [llrs]
+    u_hat = [0] * len(llrs)
+    activations = []
+    pairs = []
+
+    def decide(llr_value, index):
+        bit = 1 if llr_value < 0 and not frozen[index] else 0
+        u_hat[index] = bit
+        pairs[-1].append((index, bit))
+        return bit
+
+    for clock, steps in enumerate(plan):
+        pairs.append([])
+        for function, stage, base, fixed in steps:
+            v = buffers[stage + 1]
+            half = len(v) // 2
+            if function == "F":
+                out = [f_minsum(v[j], v[j + half]) for j in range(half)]
+                activations += fixed
+                if not stage:
+                    decide(out[0], base)
+            elif function == "G":
+                left = u_hat[base : base + half]
+                if half > 1:
+                    left = encode_nonsystematic(left).tolist()
+                out = [g_func(v[j], v[j + half], left[j]) for j in range(half)]
+                activations += [
+                    PeActivation(clock, stage, "G", ab, 1, bit, base) for ab, bit in zip(fixed, left)
+                ]
+                if not stage:
+                    decide(out[0], base + 1)
+            else:  # the modified last-stage PE: its G consumes the same-clock F decision
+                bit0 = decide(f_minsum(v[0], v[1]), base)
+                decide(g_func(v[0], v[1], bit0), base + 1)
+                activations.append(PeActivation(clock, 0, "FG", fixed[0], 1, bit0, base))
+                continue
+            buffers[stage] = out
     return activations, pairs
 
 

@@ -45,30 +45,6 @@ class ChannelParams:
         return math.sqrt(1.0 / (2.0 * float(self.code_rate) * ebn0))
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-based per-frame random stream.
-
-    The stream is a pure function of (master_seed, frame_index): two calls
-    with the same pair produce identical draws, independent of execution
-    order or parallelism.
-    """
-
-    master_seed: int
-    frame_index: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.master_seed < 2**64):
-            raise ValueError("master_seed must fit in 64 bits")
-        if not (0 <= self.frame_index < 2**64):
-            raise ValueError("frame_index must fit in 64 bits")
-
-    def generator(self):
-        return np.random.Generator(
-            np.random.Philox(key=[self.master_seed, self.frame_index])
-        )
-
-
 def modulate(codeword, modulation="bpsk"):
     """Map bits to real symbols: bpsk 0 -> +1, 1 -> -1; ook 0 -> 0, 1 -> +A
     with A chosen for unit average energy."""
@@ -78,14 +54,6 @@ def modulate(codeword, modulation="bpsk"):
     if modulation == "ook":
         return OOK_AMPLITUDE * bits.astype(float)
     raise ValueError(f"modulation must be one of {MODULATIONS}")
-
-
-def transmit_awgn(symbols, params, rng):
-    """Add i.i.d. zero-mean Gaussian noise of std params.noise_sigma, drawn
-    deterministically from the given RngStream."""
-    symbols = np.asarray(symbols, dtype=float)
-    gen = rng.generator()
-    return symbols + gen.normal(0.0, params.noise_sigma, size=symbols.shape)
 
 
 def llr_from_awgn(received, params):

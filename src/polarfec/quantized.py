@@ -24,8 +24,10 @@ class QuantSpec:
     fraction_bits: int = 1
 
     def __post_init__(self):
-        if self.total_bits_q < 3:
-            raise ValueError(f"total_bits_q must be >= 3, got {self.total_bits_q}")
+        # The row decoder holds grid values in int32, and a G sum of two values
+        # of magnitude up to 2^(Q-1) - 1 fits in int32 only for Q <= 31.
+        if not (3 <= self.total_bits_q <= 31):
+            raise ValueError(f"total_bits_q must be in [3, 31], got {self.total_bits_q}")
         if not (0 <= self.fraction_bits < self.total_bits_q):
             raise ValueError(
                 f"fraction_bits must be in [0, {self.total_bits_q}), got {self.fraction_bits}"

@@ -257,18 +257,26 @@ def _forney_correct(word, synd, locator, positions):
     return True
 
 
+def _check_symbol_rows(rows):
+    """The rows as an array, checked before any cast to lie in [0, 15]."""
+    arr = np.asarray(rows)
+    if arr.size and (arr.min() < 0 or arr.max() > 15):
+        raise ValueError("symbols must lie in [0, 15]")
+    return arr
+
+
 def rs_encode_rows(info_rows):
     """Row-wise systematic encoding of a (frames, 11) symbol array.
 
     Matches rs_encode on every row; used by the Monte-Carlo engine.
     """
-    info = np.asarray(info_rows, dtype=np.uint8)
+    info = np.asarray(_check_symbol_rows(info_rows), dtype=np.uint8)
     return np.concatenate([info, _gf16_map(info, _PARITY_TABLE).astype(np.uint8)], axis=1)
 
 
 def rs_syndromes_rows(received_rows):
     """Row-wise syndromes of a (frames, 15) symbol array, shape (frames, 4)."""
-    return _gf16_map(received_rows, _SYNDROME_TABLE)
+    return _gf16_map(_check_symbol_rows(received_rows), _SYNDROME_TABLE)
 
 
 def symbols_to_bits(symbols):

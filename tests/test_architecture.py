@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,8 @@ from polarfec import (
     format_trace,
     g_func,
     latency_clocks,
-    pe_count,
     sc_decode,
 )
-from polarfec.construction import CodeSpec
 
 
 class TestLatency:
@@ -40,22 +40,36 @@ class TestLatency:
             latency_clocks(24, "proposed")
 
 
-class TestPeCount:
-    def test_tree_sizes(self, spec16_11):
-        assert pe_count(spec16_11, "proposed") == 15  # 8 + 4 + 2 + 1
-
-    def test_smaller_trees(self, spec8_5):
-        assert pe_count(spec8_5, "proposed") == 7
-        assert pe_count(CodeSpec(2, 1, (0,), (1,)), "proposed") == 1
-
-    def test_same_tree_all_archs(self, spec16_11):
-        assert len({pe_count(spec16_11, a) for a in ARCH_KINDS}) == 1
-
-
 @pytest.fixture(scope="module")
 def noisy_frames():
     gen = np.random.default_rng(777)
     return [gen.normal(0.0, 2.0, 16) for _ in range(400)]
+
+
+def tie_rich_frames(n_bits):
+    """All-zero, hard +/-1 and small-integer frames, where F and G yield exact zeros."""
+    idx = np.arange(n_bits)
+    hard = [np.where((idx * (s + 3) + s) % 5 < 2, -1.0, 1.0) for s in range(4)]
+    ints = [((idx * (2 * s + 5) + s) % 7 - 3).astype(float) for s in range(4)]
+    return [np.zeros(n_bits)] + hard + ints
+
+
+def trace_frames(n_bits):
+    """A fixed frame set: six Gaussian frames plus the tie-rich ones."""
+    return list(np.random.default_rng(n_bits).normal(0.0, 2.0, (6, n_bits))) + tie_rich_frames(n_bits)
+
+
+# SHA-256 of the concatenated format_trace text of trace_frames(N) on
+# bhattacharyya_construct(N, K): any change to a clock plan, to the executor's
+# arithmetic or to the trace format shows here.
+TRACE_SHA256 = {
+    (16, 11, "conventional"): "cdb7cb5639510e2ba6b49b0fd632136813898f4a8826bdb7f6b2563dc2fdfe6e",
+    (16, 11, "two_bit_sc"): "7ed495cd96f801873ee1cf47a0752bb914611598b09b0a02e27cdd1f04039a14",
+    (16, 11, "proposed"): "a869007c40775c0ad3fdb7751a72b8d34367fcb6f905844b8c2f48308d6f8262",
+    (32, 16, "conventional"): "bb4b0f9e332fcb39ceecc00e66112d5e45ff62adf563f9a7f546d285cbde9571",
+    (32, 16, "two_bit_sc"): "b886acff482d528478c81b3fa6c1cde7e8d1bbf98d41f1e5f314e0829d767203",
+    (32, 16, "proposed"): "ecef9bd8054e14a5ad1252dc72cdac5e0c1ef6f87df5d3e6ae3acbe641a42ff6",
+}
 
 
 class TestSchedules:
@@ -70,10 +84,24 @@ class TestSchedules:
 
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_cosimulation_matches_golden(self, arch, spec16_11, noisy_frames):
-        for llrs in noisy_frames:
-            trace = build_schedule(spec16_11, arch, llrs)
-            golden = sc_decode(llrs, spec16_11, "minsum")
+        cases = [(spec16_11, llrs) for llrs in noisy_frames]
+        gen = np.random.default_rng(778)
+        for n_bits in (4, 8, 16, 32, 128):
+            for k_info in sorted({1, n_bits // 2, 3 * n_bits // 4, n_bits}):
+                spec = bhattacharyya_construct(n_bits, k_info)
+                frames = [gen.normal(0.0, 2.0, n_bits) for _ in range(5)]
+                frames += [gen.integers(-2, 3, n_bits).astype(float) for _ in range(5)]
+                cases += [(spec, llrs) for llrs in frames + tie_rich_frames(n_bits)]
+        for spec, llrs in cases:
+            trace = build_schedule(spec, arch, llrs)
+            golden = sc_decode(llrs, spec, "minsum")
             assert np.array_equal(trace.decoded_bits(), golden.u_hat)
+
+    @pytest.mark.parametrize("n_bits, k_info, arch", sorted(TRACE_SHA256))
+    def test_trace_text_pinned(self, n_bits, k_info, arch):
+        spec = bhattacharyya_construct(n_bits, k_info)
+        text = "".join(format_trace(build_schedule(spec, arch, llrs)) for llrs in trace_frames(n_bits))
+        assert hashlib.sha256(text.encode()).hexdigest() == TRACE_SHA256[n_bits, k_info, arch]
 
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_every_bit_decoded_exactly_once(self, arch, spec16_11, noisy_frames):

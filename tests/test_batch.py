@@ -59,13 +59,17 @@ def test_decode_exact_rows_matches_scalar(spec16_11, rng):
         assert np.array_equal(rows[i], sc_decode(llrs[i], spec16_11, "exact").u_hat)
 
 
-@pytest.mark.parametrize("qbits", [4, 5, 10])
+@pytest.mark.parametrize("qbits", [4, 5, 10, 31])
 def test_decode_fixed_rows_matches_scalar(qbits, spec16_11, spec128_96, rng):
     qspec = QuantSpec(qbits, 1)
     cases = [(spec16_11, rng.normal(0, 4, (150, 16)))]
     if qbits == 4:
         # heavy saturation: most channel values and G sums clamp at +/-7
         cases.append((spec128_96, rng.normal(1.0, 8, (40, 128))))
+    if qbits == 31:
+        # near the widest grid: G sums reach 2^31 - 2, the int32 limit
+        mags = rng.uniform(0.5, 1.0, (200, 16)) * qspec.max_mag * qspec.step
+        cases.append((spec16_11, np.where(rng.integers(0, 2, (200, 16)) == 1, -mags, mags)))
     for spec, llrs in cases:
         rows = decode_fixed_rows(llrs, spec, qspec)
         for i in range(len(llrs)):

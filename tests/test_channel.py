@@ -7,11 +7,9 @@ import oracles
 from polarfec import (
     OOK_AMPLITUDE,
     ChannelParams,
-    RngStream,
     hard_slice,
     llr_from_awgn,
     modulate,
-    transmit_awgn,
 )
 
 
@@ -48,30 +46,6 @@ class TestModulate:
         e_ook = np.mean(modulate(bits, "ook") ** 2)
         assert e_bpsk == pytest.approx(1.0)
         assert e_ook == pytest.approx(1.0, rel=3e-3)
-
-
-class TestTransmit:
-    def test_deterministic(self):
-        params = ChannelParams(4.0, 0.5)
-        symbols = np.ones(64)
-        stream = RngStream(99, 7)
-        a = transmit_awgn(symbols, params, stream)
-        b = transmit_awgn(symbols, params, RngStream(99, 7))
-        assert np.array_equal(a, b)
-        c = transmit_awgn(symbols, params, RngStream(99, 8))
-        assert not np.array_equal(a, c)
-
-    def test_vanishing_noise(self):
-        params = ChannelParams(60.0, 11 / 16)
-        symbols = modulate(np.arange(32) % 2, "bpsk")
-        received = transmit_awgn(symbols, params, RngStream(0, 0))
-        assert np.max(np.abs(received - symbols)) < 1e-2
-
-    def test_noise_variance(self):
-        params = ChannelParams(3.0, 0.75)
-        symbols = np.zeros(10**6)
-        received = transmit_awgn(symbols, params, RngStream(5, 0))
-        assert np.var(received) == pytest.approx(params.noise_sigma**2, rel=0.01)
 
 
 class TestLlr:
@@ -129,21 +103,3 @@ class TestHardSlice:
         p_hat = np.mean(sliced != bits)
         p_theory = oracles.q_function(1.0 / params.noise_sigma)
         assert p_hat == pytest.approx(p_theory, rel=0.02)
-
-
-class TestRngStream:
-    def test_pure_function_of_fields(self):
-        a = RngStream(123, 45).generator().standard_normal(8)
-        b = RngStream(123, 45).generator().standard_normal(8)
-        assert np.array_equal(a, b)
-
-    def test_distinct_frames_differ(self):
-        a = RngStream(123, 45).generator().standard_normal(8)
-        b = RngStream(123, 46).generator().standard_normal(8)
-        assert not np.array_equal(a, b)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RngStream(-1, 0)
-        with pytest.raises(ValueError):
-            RngStream(0, 2**64)

@@ -138,6 +138,13 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--code", "16,11", "--ebn0", "5")
         assert code == 1
 
+    def test_quant_bits_beyond_int32_grid(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--code", "16,11", "--decoder", "fixed", "--quant-bits", "32",
+            "--ebn0", "5:5:1", "--max-frames", "100", "--min-frame-errors", "5",
+        )
+        assert code == 1 and "total_bits_q" in err
+
 
 class TestLatencyCommand:
     def test_table_numbers(self, capsys):

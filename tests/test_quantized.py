@@ -29,6 +29,8 @@ class TestQuantSpec:
             QuantSpec(5, 5)
         with pytest.raises(ValueError):
             QuantSpec(5, -1)
+        with pytest.raises(ValueError):
+            QuantSpec(32, 1)  # a G sum of two grid values would overflow int32
 
 
 class TestQuantize:

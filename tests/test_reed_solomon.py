@@ -192,6 +192,13 @@ class TestRowKernels:
             expected = [oracles.gf16_poly_eval(word, int(GF16_EXP[j]), gf16_mul) for j in range(1, 5)]
             assert rows[i].tolist() == expected
 
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_rows_reject_out_of_range_symbols(self, bad):
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 15\]"):
+            rs_encode_rows([[15] * 10 + [bad]])
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 15\]"):
+            rs_syndromes_rows([[15] * 14 + [bad]])
+
     def test_bit_packing_round_trip(self, rng):
         symbols = rng.integers(0, 16, (50, 15)).astype(np.uint8)
         assert np.array_equal(bits_to_symbols(symbols_to_bits(symbols)), symbols)
