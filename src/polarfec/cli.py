@@ -48,13 +48,12 @@ def _parse_ebn0(text):
 
 
 def _load_spec(args):
-    if getattr(args, "spec_file", None):
+    if args.spec_file:
         with open(args.spec_file) as fh:
             return parse_spec_text(fh.read())
-    if getattr(args, "code", None):
+    if args.code:
         n, k = _parse_code(args.code)
-        z0 = getattr(args, "design_z0", 0.5)
-        return bhattacharyya_construct(n, k, ConstructionParams(z0))
+        return bhattacharyya_construct(n, k, ConstructionParams(args.design_z0))
     raise _UsageError("one of --code or --spec-file is required")
 
 
@@ -157,8 +156,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_latency(args):
-    n, k = _parse_code(args.code)
-    spec = bhattacharyya_construct(n, k)
+    spec = _load_spec(args)
+    n, k = spec.block_len, spec.info_len
     if args.trace:
         gen = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
         llrs = gen.normal(0.0, 2.0, size=spec.block_len)
@@ -190,20 +189,28 @@ def _cmd_gain(args):
     except sweep_mod.NoCrossingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NO_CROSSING_EXIT
+    for path, curve in ((args.curve_a, curve_a), (args.curve_b, curve_b)):
+        for point in sweep_mod.crossing_points(curve, args.target_ber):
+            if point.low_confidence:
+                print(
+                    f"warning: {path}: the crossing interpolates the {point.ebn0_db:g} dB point,"
+                    f" which has {point.frame_errors} frame errors"
+                    f" (fewer than {sweep_mod.MIN_CONFIDENT_ERRORS})",
+                    file=sys.stderr,
+                )
     _write_out(f"gain_db={gain:.4f}\n", args.out)
     return 0
 
 
-def _add_code_args(parser, with_z0=True):
-    parser.add_argument("--code", help="code parameters as N,K")
-    parser.add_argument("--spec-file", help="path to a saved code spec")
-    if with_z0:
-        parser.add_argument(
-            "--design-z0",
-            type=float,
-            default=0.5,
-            help="erasure-proxy design parameter for construction (default 0.5)",
-        )
+def _add_code_args(parser, default_code=None):
+    parser.add_argument("--code", default=default_code, help="code parameters as N,K")
+    parser.add_argument("--spec-file", help="path to a saved code spec (overrides --code)")
+    parser.add_argument(
+        "--design-z0",
+        type=float,
+        default=0.5,
+        help="erasure-proxy design parameter for construction (default 0.5)",
+    )
 
 
 def build_parser():
@@ -252,7 +259,7 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("latency", help="decode-latency table for the three designs")
-    p.add_argument("--code", default="16,11")
+    _add_code_args(p, default_code="16,11")
     p.add_argument("--arch", default="proposed", choices=list(architecture.ARCH_KINDS))
     p.add_argument("--trace", action="store_true", help="dump one schedule trace")
     p.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,7 @@ order: received[i] is the coefficient of x^(14-i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,13 +85,18 @@ def _gf16_map_table(matrix):
     return np.bitwise_or.reduce(products << _NIBBLE_SHIFTS, axis=1)
 
 
+def _gf16_map_packed(rows, table):
+    """GF(16)-linear map of symbol rows, output c in nibble c of one int64."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return np.bitwise_xor.reduce(table[rows + 16 * np.arange(rows.shape[-1])], axis=-1)
+
+
 def _gf16_map(rows, table):
     """GF(16)-linear map of symbol rows: out[c] = XOR over p of row[p] * M[p, c].
 
     Returns an int64 array of shape (..., N_PARITY).
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    packed = np.bitwise_xor.reduce(table[rows + 16 * np.arange(rows.shape[-1])], axis=-1)
+    packed = _gf16_map_packed(rows, table)
     return (packed[..., None] >> _NIBBLE_SHIFTS) & 15
 
 
@@ -257,9 +263,12 @@ def _forney_correct(word, synd, locator, positions):
     return True
 
 
-def _check_symbol_rows(rows):
-    """The rows as an array, checked before any cast to lie in [0, 15]."""
+def _check_symbol_rows(rows, expected_len):
+    """The rows as an array, checked for row length and, before any cast, to
+    lie in [0, 15]."""
     arr = np.asarray(rows)
+    if arr.ndim < 1 or arr.shape[-1] != expected_len:
+        raise ValueError(f"expected {expected_len} symbols per row, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() > 15):
         raise ValueError("symbols must lie in [0, 15]")
     return arr
@@ -270,13 +279,54 @@ def rs_encode_rows(info_rows):
 
     Matches rs_encode on every row; used by the Monte-Carlo engine.
     """
-    info = np.asarray(_check_symbol_rows(info_rows), dtype=np.uint8)
+    info = np.asarray(_check_symbol_rows(info_rows, K_SYMBOLS), dtype=np.uint8)
     return np.concatenate([info, _gf16_map(info, _PARITY_TABLE).astype(np.uint8)], axis=1)
 
 
 def rs_syndromes_rows(received_rows):
     """Row-wise syndromes of a (frames, 15) symbol array, shape (frames, 4)."""
-    return _gf16_map(_check_symbol_rows(received_rows), _SYNDROME_TABLE)
+    return _gf16_map(_check_symbol_rows(received_rows, N_SYMBOLS), _SYNDROME_TABLE)
+
+
+@lru_cache(maxsize=1)
+def _syndrome_decoder():
+    """Info-part correction and failure flag for each packed syndrome S1..S4.
+
+    A bounded-distance t=2 decoder succeeds exactly when the syndrome is that
+    of an error pattern of weight <= 2, which distance 5 makes unique; every
+    other syndrome fails and passes the received info through unchanged.
+    """
+    # Info parts of the weight-1 patterns, value v at position p in row
+    # 15p + v - 1 (all zero for a parity position).  Entry 16p + v of the
+    # syndrome table is the syndrome of that pattern, and a weight-2
+    # pattern's syndrome is the XOR of its two parts' syndromes.
+    values = np.arange(1, 16, dtype=np.uint8)
+    unit = np.eye(N_SYMBOLS, K_SYMBOLS, dtype=np.uint8)
+    info = (unit[:, None, :] * values[None, :, None]).reshape(-1, K_SYMBOLS)
+    syndrome = _SYNDROME_TABLE.reshape(N_SYMBOLS, 16)[:, 1:].ravel()
+    position = np.repeat(np.arange(N_SYMBOLS), values.size)
+    first, second = np.nonzero(position[:, None] < position[None, :])
+    index = np.concatenate([[0], syndrome, syndrome[first] ^ syndrome[second]])
+    error = np.concatenate([np.zeros((1, K_SYMBOLS), dtype=np.uint8), info, info[first] ^ info[second]])
+
+    correction = np.zeros((16**N_PARITY, K_SYMBOLS), dtype=np.uint8)
+    failure = np.ones(16**N_PARITY, dtype=bool)
+    correction[index] = error
+    failure[index] = False
+    return correction, failure
+
+
+def rs_decode_rows(received_rows):
+    """Row-wise rs_decode of a (frames, 15) symbol array.
+
+    Returns (info, failure): a (frames, 11) uint8 array and a (frames,) bool
+    array, equal row by row to rs_decode's info and failure.  Decoding is one
+    lookup of the syndrome in a table of the weight <= 2 error patterns.
+    """
+    received = np.asarray(_check_symbol_rows(received_rows, N_SYMBOLS), dtype=np.uint8)
+    correction, failure = _syndrome_decoder()
+    index = _gf16_map_packed(received, _SYNDROME_TABLE)
+    return received[..., :K_SYMBOLS] ^ correction[index], failure[index]
 
 
 def symbols_to_bits(symbols):

@@ -207,11 +207,7 @@ def _run_rs_frames(messages, noise, params):
     code_bits = reed_solomon.symbols_to_bits(codewords)
     received = channel.modulate(code_bits) + noise
     received_symbols = reed_solomon.bits_to_symbols(channel.hard_slice(received, params))
-    syndromes = reed_solomon.rs_syndromes_rows(received_symbols)
-    decoded_symbols = received_symbols[:, : reed_solomon.K_SYMBOLS].copy()
-    for idx in np.flatnonzero(syndromes.any(axis=1)):
-        result = reed_solomon.rs_decode(received_symbols[idx])
-        decoded_symbols[idx] = result.info
+    decoded_symbols, _ = reed_solomon.rs_decode_rows(received_symbols)
     return reed_solomon.symbols_to_bits(decoded_symbols)
 
 
@@ -339,17 +335,23 @@ def parse_csv(text):
     return points, metadata
 
 
+def crossing_points(points, target_ber):
+    """The adjacent measured points (BER > 0) whose BERs bracket target_ber."""
+    usable = [p for p in points if p.ber > 0]
+    for a, b in zip(usable, usable[1:]):
+        if a.ber >= target_ber >= b.ber:
+            return a, b
+    raise NoCrossingError(f"no crossing of ber={target_ber:g}")
+
+
 def _crossing_ebn0(points, target_ber):
     """Eb/N0 at which the curve crosses target_ber, log-linear interpolation."""
-    usable = [(p.ebn0_db, p.ber) for p in points if p.ber > 0]
-    for (e1, b1), (e2, b2) in zip(usable, usable[1:]):
-        if b1 >= target_ber >= b2:
-            if b1 == b2:
-                return e1
-            span = math.log10(b1) - math.log10(b2)
-            frac = (math.log10(b1) - math.log10(target_ber)) / span
-            return e1 + frac * (e2 - e1)
-    raise NoCrossingError(f"no crossing of ber={target_ber:g}")
+    a, b = crossing_points(points, target_ber)
+    if a.ber == b.ber:
+        return a.ebn0_db
+    span = math.log10(a.ber) - math.log10(b.ber)
+    frac = (math.log10(a.ber) - math.log10(target_ber)) / span
+    return a.ebn0_db + frac * (b.ebn0_db - a.ebn0_db)
 
 
 def compare_gain(curve_a, curve_b, target_ber):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from polarfec import encode_systematic, parse_spec_text, sc_decode
+from polarfec import (
+    ConstructionParams,
+    bhattacharyya_construct,
+    build_schedule,
+    encode_systematic,
+    format_trace,
+    parse_spec_text,
+    sc_decode,
+)
 from polarfec.cli import main
 
 
@@ -172,24 +180,67 @@ class TestLatencyCommand:
         clocks = {line.split()[0] for line in out.strip().splitlines()}
         assert len(clocks) == 14  # 2N - 2 for N = 8
 
+    def test_trace_uses_spec_file(self, capsys, tmp_path, spec16_11):
+        spec_path = tmp_path / "code.spec"
+        spec_path.write_text("16 11\n0 1 2 3 4\n")
+        spec = parse_spec_text(spec_path.read_text())
+        assert spec.frozen_set != spec16_11.frozen_set
+        code, out, _ = run_cli(
+            capsys, "latency", "--spec-file", str(spec_path), "--arch", "two_bit_sc",
+            "--trace", "--seed", "3",
+        )
+        assert code == 0
+        llrs = np.random.Generator(np.random.Philox(key=[3, 0])).normal(0.0, 2.0, size=16)
+        assert out == format_trace(build_schedule(spec, "two_bit_sc", llrs))
+        assert out != format_trace(build_schedule(spec16_11, "two_bit_sc", llrs))
+
+    def test_table_from_spec_file(self, capsys, tmp_path):
+        spec_path = tmp_path / "code.spec"
+        run_cli(capsys, "construct", "--code", "32,16", "--out", str(spec_path))
+        code, out, _ = run_cli(capsys, "latency", "--spec-file", str(spec_path))
+        assert code == 0
+        assert "clocks for (32,16)" in out.splitlines()[0]
+
+    def test_design_z0_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "latency", "--code", "64,32", "--design-z0", "0.1", "--trace")
+        assert code == 0
+        llrs = np.random.Generator(np.random.Philox(key=[0, 0])).normal(0.0, 2.0, size=64)
+        spec = bhattacharyya_construct(64, 32, ConstructionParams(0.1))
+        assert spec.frozen_set != bhattacharyya_construct(64, 32).frozen_set
+        assert out == format_trace(build_schedule(spec, "proposed", llrs))
+
 
 class TestGainCommand:
-    def write_curve(self, path, shift):
+    def write_curve(self, path, shift, frame_errors=(500, 500, 500, 500)):
         rows = [
             "# code=16,11 decoder=soft_minsum seed=0",
             "ebno_db,frames,bit_errors,frame_errors,ber,fer",
         ]
-        for e, b in [(0.0, 1e-2), (2.0, 1e-3), (4.0, 1e-4), (6.0, 1e-5)]:
-            rows.append(f"{e + shift},100000,{int(b * 1.1e6)},500,{b!r},{b * 5!r}")
+        points = [(0.0, 1e-2), (2.0, 1e-3), (4.0, 1e-4), (6.0, 1e-5)]
+        for (e, b), errors in zip(points, frame_errors):
+            rows.append(f"{e + shift},100000,{int(b * 1.1e6)},{errors},{b!r},{b * 5!r}")
         path.write_text("\n".join(rows) + "\n")
 
     def test_shifted_gain(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         self.write_curve(a, 1.0)
         self.write_curve(b, 0.0)
-        code, out, _ = run_cli(capsys, "gain", str(a), str(b), "--target-ber", "3e-4")
+        code, out, err = run_cli(capsys, "gain", str(a), str(b), "--target-ber", "3e-4")
         assert code == 0
         assert out.strip() == "gain_db=1.0000"
+        assert err == ""
+
+    def test_low_confidence_crossing_warns(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_curve(a, 1.0, frame_errors=(500, 500, 19, 500))
+        self.write_curve(b, 0.0, frame_errors=(500, 500, 500, 3))
+        code, out, err = run_cli(capsys, "gain", str(a), str(b), "--target-ber", "3e-4")
+        assert code == 0
+        assert out.strip() == "gain_db=1.0000"
+        warnings = err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: {a}:") and "5 dB point" in warnings[0]
+        assert "19 frame errors" in warnings[0]
 
     def test_no_crossing_exit_2(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,6 +6,7 @@ from polarfec import GENERATOR_POLY, gf16_inv, gf16_mul, rs_decode, rs_encode, r
 from polarfec.reed_solomon import (
     GF16_EXP,
     bits_to_symbols,
+    rs_decode_rows,
     rs_encode_rows,
     rs_syndromes_rows,
     symbols_to_bits,
@@ -198,6 +199,51 @@ class TestRowKernels:
             rs_encode_rows([[15] * 10 + [bad]])
         with pytest.raises(ValueError, match=r"symbols must lie in \[0, 15\]"):
             rs_syndromes_rows([[15] * 14 + [bad]])
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 15\]"):
+            rs_decode_rows([[15] * 14 + [bad]])
+
+    @pytest.mark.parametrize("kernel, length", [
+        (rs_encode_rows, 11), (rs_syndromes_rows, 15), (rs_decode_rows, 15),
+    ])
+    def test_rows_reject_wrong_length(self, kernel, length):
+        for wrong in (length - 1, length + 1):
+            with pytest.raises(ValueError, match="symbols per row"):
+                kernel(np.zeros((3, wrong), dtype=np.uint8))
+
+    def test_decode_rows_matches_scalar_on_every_syndrome(self):
+        # the syndrome map is a bijection on words that are zero outside the
+        # 4 parity symbols, so these 16^4 words reach every syndrome once
+        index = np.arange(16**4)
+        words = np.zeros((index.size, 15), dtype=np.uint8)
+        for j in range(4):
+            words[:, 11 + j] = (index >> 4 * j) & 15
+        assert np.unique(rs_syndromes_rows(words) @ 16 ** np.arange(4)).size == index.size
+        info, failure = rs_decode_rows(words)
+        assert info.shape == (index.size, 11) and info.dtype == np.uint8
+        assert failure.shape == (index.size,) and failure.dtype == bool
+        for i in range(index.size):
+            result = rs_decode(words[i])
+            assert (tuple(info[i]), bool(failure[i])) == (result.info, result.failure), i
+
+    def test_decode_rows_matches_scalar_on_random_errors(self, rng):
+        infos = rng.integers(0, 16, (5000, 11))
+        words = rs_encode_rows(infos)
+        for i in range(len(words)):
+            where = rng.choice(15, size=i % 5, replace=False)
+            words[i, where] ^= rng.integers(1, 16, size=where.size).astype(np.uint8)
+        info, failure = rs_decode_rows(words)
+        outcomes = {"corrected": 0, "failure": 0, "miscorrected": 0}
+        for i in range(len(words)):
+            result = rs_decode(words[i])
+            assert (tuple(info[i]), bool(failure[i])) == (result.info, result.failure)
+            if result.failure:
+                outcomes["failure"] += 1
+            elif result.info == tuple(infos[i]):
+                outcomes["corrected"] += 1
+            else:
+                outcomes["miscorrected"] += 1
+        assert outcomes["corrected"] >= 3000
+        assert outcomes["failure"] > 0 and outcomes["miscorrected"] > 0
 
     def test_bit_packing_round_trip(self, rng):
         symbols = rng.integers(0, 16, (50, 15)).astype(np.uint8)

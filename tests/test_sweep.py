@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,31 @@ class TestRunSweep:
         assert point.frame_errors >= 50 or point.frames == 4000
         assert 0 < point.ber < 0.5
 
+    # SHA-256 of emit_csv, recorded with the per-frame Berlekamp-Massey
+    # decoding loop, so any change to the RS sweep's counts shows here.
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "1dbc573d5cceac62c3e5f88f54843f0fc09318a5c98846a5009d7253cff66c51"),
+        (1, "84540dfb35a5e4b5715d4706f9a1e2fef3855a2335565ae2d97162f60c8e6f01"),
+        (2, "10b5c5bef05c0e8f03b80ff20e282d99c5776492581033a1ecb09a3cb4e06794"),
+    ])
+    def test_rs_sweep_bytes_pinned(self, seed, digest):
+        text = "".join(
+            rs_csv(SweepConfig(
+                decoder="rs15_11", ebn0_start=ebn0, ebn0_stop=ebn0,
+                max_frames=5000, min_frame_errors=5001, master_seed=seed,
+            ))
+            for ebn0 in (3.0, 4.0, 5.0, 7.0)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_rs_early_stop_sweep_bytes_pinned(self):
+        text = rs_csv(SweepConfig(
+            decoder="rs15_11", ebn0_start=0.0, ebn0_stop=8.0, ebn0_step=1.0,
+            max_frames=20_000, min_frame_errors=50, master_seed=11,
+        ))
+        digest = "4c19a72e0ba48a550761aeed8238bbe085571e161f83d419d36dbcd7b986c150"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_fixed_sweep_runs(self, spec16_11):
         config = small_config(code=spec16_11, decoder="fixed", quant_bits=5, frac_bits=1)
         (p0, p1) = run_sweep(config)
@@ -228,6 +255,11 @@ class TestCsv:
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_csv("ebno_db,frames\n1,2\n")
+
+
+def rs_csv(config):
+    metadata = {"code": config.code_label(), "decoder": config.decoder_label(), "seed": config.master_seed}
+    return emit_csv(run_sweep(config), metadata)
 
 
 def curve(pairs):
