@@ -117,18 +117,10 @@ def _cmd_decode(args):
 
 
 def _cmd_sweep(args):
-    code = None
-    if args.spec_file:
-        with open(args.spec_file) as fh:
-            code = parse_spec_text(fh.read())
-    elif args.code:
-        pair = _parse_code(args.code)
-        if args.decoder == "rs15_11":
-            code = pair
-        else:
-            code = bhattacharyya_construct(
-                pair[0], pair[1], ConstructionParams(args.design_z0)
-            )
+    if args.decoder == "rs15_11" and not args.spec_file:
+        code = _parse_code(args.code) if args.code else None
+    else:
+        code = _load_spec(args)
     start, stop, step = _parse_ebn0(args.ebn0)
     try:
         config = sweep_mod.SweepConfig(

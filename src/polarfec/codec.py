@@ -33,7 +33,7 @@ class DecodeResult:
     info_bits : ndarray
         x_hat restricted to the information positions (the systematic payload).
     pe_op_count : int
-        Total number of scalar F and G evaluations performed.
+        Total number of scalar F and G evaluations, N*log2(N).
     saturation_events : int | None
         For fixed-point decodes, how many arithmetic results were clamped;
         None for floating-point decodes.
@@ -130,14 +130,13 @@ def _sc_recursion(values, frozen, f, g):
     """Scalar SC traversal shared by the float and fixed-point decoders.
 
     values: the N channel values as a list; frozen: length-N mask; f(a, b)
-    and g(a, b, bit) combine one operand pair.  Returns (u_hat, x_hat,
-    pe_op_count), where x_hat is the root's partial sums, i.e. transform(u_hat).
+    and g(a, b, bit) combine one operand pair.  Returns (u_hat, x_hat), where
+    x_hat is the root's partial sums, i.e. transform(u_hat).  Every node is
+    visited, so a decode always makes N*log2(N) F and G evaluations.
     """
     u_hat = np.zeros(len(values), dtype=np.uint8)
-    ops = 0
 
     def rec(v, base):
-        nonlocal ops
         m = len(v)
         if m == 1:
             if not frozen[base] and v[0] < 0:
@@ -148,11 +147,10 @@ def _sc_recursion(values, frozen, f, g):
         b = v[half:]
         left = rec([f(a[j], b[j]) for j in range(half)], base)
         right = rec([g(a[j], b[j], left[j]) for j in range(half)], base + half)
-        ops += m
         return [left[j] ^ right[j] for j in range(half)] + right
 
     x_hat = np.array(rec(values, 0), dtype=np.uint8)
-    return u_hat, x_hat, ops
+    return u_hat, x_hat
 
 
 def sc_decode(channel_llrs, spec, f_mode="minsum"):
@@ -180,12 +178,12 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
         raise ValueError(f"expected {spec.block_len} LLRs, got {len(llrs)}")
     if f_mode not in _F_MODES:
         raise ValueError(f"f_mode must be one of {tuple(_F_MODES)}, got {f_mode!r}")
-    u_hat, x_hat, ops = _sc_recursion(llrs.tolist(), spec.frozen_mask(), _F_MODES[f_mode], g_func)
+    u_hat, x_hat = _sc_recursion(llrs.tolist(), spec.frozen_mask(), _F_MODES[f_mode], g_func)
     return DecodeResult(
         u_hat=u_hat,
         x_hat=x_hat,
         info_bits=x_hat[list(spec.info_set)],
-        pe_op_count=ops,
+        pe_op_count=spec.block_len * spec.stages,
     )
 
 

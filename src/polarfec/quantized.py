@@ -83,13 +83,13 @@ def sc_decode_fixed(channel_llrs, spec, qspec):
         sat_events += 1
         return max_mag if out > 0 else -max_mag
 
-    u_hat, x_hat, ops = _sc_recursion(
+    u_hat, x_hat = _sc_recursion(
         quantize_rows(llrs, qspec).tolist(), spec.frozen_mask(), f_minsum, g_sat
     )
     return DecodeResult(
         u_hat=u_hat,
         x_hat=x_hat,
         info_bits=x_hat[list(spec.info_set)],
-        pe_op_count=ops,
+        pe_op_count=spec.block_len * spec.stages,
         saturation_events=sat_events,
     )

@@ -11,7 +11,9 @@ reached.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,17 +130,20 @@ class _FrameRandom:
         self._bitgen.state = state
         return self._gen
 
+    def draws(self, frame_index, payload_bits, channel_bits, sigma):
+        """One frame's random draws: message bits, then channel noise."""
+        gen = self.frame(frame_index)
+        message = gen.integers(0, 2, size=payload_bits, dtype=np.uint8)
+        return message, gen.normal(0.0, sigma, size=channel_bits)
+
 
 def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
     """The per-frame random draws: message bits, then channel noise.
 
     This is the reference definition of a frame's randomness; the chunked
-    engine reproduces it exactly for every frame.
+    engine draws every frame through the same _FrameRandom.draws.
     """
-    gen = _FrameRandom(point_seed).frame(frame_index)
-    message = gen.integers(0, 2, size=payload_bits, dtype=np.uint8)
-    noise = gen.normal(0.0, sigma, size=channel_bits)
-    return message, noise
+    return _FrameRandom(point_seed).draws(frame_index, payload_bits, channel_bits, sigma)
 
 
 def point_seed_for(master_seed, point_index):
@@ -162,16 +167,14 @@ def _frame_shape(config, spec):
 def _simulate_chunk(args):
     """Simulate frames [start, start+count) of one point; returns per-frame
     bit-error counts and frame-error flags."""
-    config, spec, point_seed, start, count, params = args
-    sigma = params.noise_sigma
-    payload_bits, channel_bits, _ = _frame_shape(config, spec)
+    config, spec, shape, point_seed, start, count, params = args
+    payload_bits, channel_bits, _ = shape
     messages = np.empty((count, payload_bits), dtype=np.uint8)
     noise = np.empty((count, channel_bits))
     frame_rng = _FrameRandom(point_seed)
+    sigma = params.noise_sigma
     for i in range(count):
-        gen = frame_rng.frame(start + i)
-        messages[i] = gen.integers(0, 2, size=payload_bits, dtype=np.uint8)
-        noise[i] = gen.normal(0.0, sigma, size=channel_bits)
+        messages[i], noise[i] = frame_rng.draws(start + i, payload_bits, channel_bits, sigma)
 
     if config.decoder == "rs15_11":
         decoded = _run_rs_frames(messages, noise, params)
@@ -217,72 +220,68 @@ def run_sweep(config, workers=1):
     The result is a pure function of config: counts are identical for any
     worker count, because each chunk of frames is simulated from its own
     keyed streams and chunks are reduced in index order with the stop rule
-    evaluated on the exact per-frame error sequence.
+    evaluated on the exact per-frame error sequence.  With workers > 1 the
+    whole sweep shares one process pool of min(workers, chunks per point)
+    processes.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     spec = config.resolved_code()
+    shape = _frame_shape(config, spec)
+    payload_bits, _, rate = shape
+    max_frames = config.max_frames
+    pool_size = min(workers, -(-max_frames // CHUNK_FRAMES))
     points = []
-    for point_index, ebn0 in enumerate(config.ebn0_points()):
-        _, _, rate = _frame_shape(config, spec)
-        params = channel.ChannelParams(ebn0, rate)
-        pseed = point_seed_for(config.master_seed, point_index)
-        chunks = []
-        start = 0
-        while start < config.max_frames:
-            count = min(CHUNK_FRAMES, config.max_frames - start)
-            chunks.append((config, spec, pseed, start, count, params))
-            start += count
-        points.append(_reduce_point(ebn0, config, spec, chunks, workers))
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
+        for point_index, ebn0 in enumerate(config.ebn0_points()):
+            params = channel.ChannelParams(ebn0, rate)
+            pseed = point_seed_for(config.master_seed, point_index)
+            chunks = (
+                (config, spec, shape, pseed, start, min(CHUNK_FRAMES, max_frames - start), params)
+                for start in range(0, max_frames, CHUNK_FRAMES)
+            )
+            # Passed inline, the results iterator is dropped, and its queued
+            # chunks are cancelled, as soon as _reduce_point returns.
+            points.append(_reduce_point(
+                ebn0,
+                map(_simulate_chunk, chunks) if pool is None
+                else _in_order(pool, chunks, pool_size),
+                config.min_frame_errors,
+                payload_bits,
+            ))
     return points
 
 
-def _reduce_point(ebn0, config, spec, chunks, workers):
-    frames = bit_errors = frame_errors = 0
-    stop = False
-
-    def consume(result):
-        nonlocal frames, bit_errors, frame_errors, stop
-        per_frame_bits, per_frame_flags = result
-        need = config.min_frame_errors - frame_errors
-        cumulative = np.cumsum(per_frame_flags)
-        if cumulative.size and cumulative[-1] >= need:
-            cut = int(np.searchsorted(cumulative, need)) + 1
-            frames += cut
-            bit_errors += int(per_frame_bits[:cut].sum())
-            frame_errors += int(cumulative[cut - 1])
-            stop = True
-        else:
-            frames += len(per_frame_flags)
-            bit_errors += int(per_frame_bits.sum())
-            frame_errors += int(cumulative[-1]) if cumulative.size else 0
-
-    if workers <= 1:
+def _in_order(pool, chunks, window):
+    """Chunk results from pool in index order, with at most window chunks in
+    flight; chunks still queued are cancelled when the generator is closed."""
+    pending = deque()
+    try:
         for chunk in chunks:
-            consume(_simulate_chunk(chunk))
-            if stop:
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {}
-            next_submit = 0
-            next_consume = 0
-            while next_consume < len(chunks) and not stop:
-                while next_submit < len(chunks) and next_submit - next_consume < workers:
-                    pending[next_submit] = pool.submit(_simulate_chunk, chunks[next_submit])
-                    next_submit += 1
-                consume(pending.pop(next_consume).result())
-                next_consume += 1
-            for fut in pending.values():
-                fut.cancel()
+            pending.append(pool.submit(_simulate_chunk, chunk))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
-    payload_bits, _, _ = _frame_shape(config, spec)
-    return SweepPoint(
-        ebn0_db=ebn0,
-        frames=frames,
-        bit_errors=bit_errors,
-        frame_errors=frame_errors,
-        ber=bit_errors / (frames * payload_bits) if frames else 0.0,
-        fer=frame_errors / frames if frames else 0.0,
-    )
+
+def _reduce_point(ebn0, results, min_frame_errors, payload_bits):
+    """One point's SweepPoint from its chunk results, taken in index order
+    up to the exact frame whose error reaches min_frame_errors."""
+    frames = bit_errors = frame_errors = 0
+    for per_frame_bits, per_frame_flags in results:
+        cumulative = frame_errors + np.cumsum(per_frame_flags)
+        cut = min(int(np.searchsorted(cumulative, min_frame_errors)) + 1, len(cumulative))
+        frames += cut
+        bit_errors += int(per_frame_bits[:cut].sum())
+        frame_errors = int(cumulative[cut - 1])
+        if frame_errors >= min_frame_errors:
+            break
+    ber = bit_errors / (frames * payload_bits)
+    return SweepPoint(ebn0, frames, bit_errors, frame_errors, ber, frame_errors / frames)
 
 
 def emit_csv(points, metadata):

@@ -3,11 +3,14 @@ import pytest
 
 from polarfec import (
     ConstructionParams,
+    SweepConfig,
     bhattacharyya_construct,
     build_schedule,
+    emit_csv,
     encode_systematic,
     format_trace,
     parse_spec_text,
+    run_sweep,
     sc_decode,
 )
 from polarfec.cli import main
@@ -141,6 +144,27 @@ class TestSweepCommand:
             "--ebn0", "5:5:1", "--max-frames", "100", "--min-frame-errors", "5",
         )
         assert code == 1 and "error" in err
+
+    def test_design_z0_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--code", "128,96", "--design-z0", "0.02", "--decoder", "hard",
+            "--ebn0", "4:6:2", "--max-frames", "500", "--min-frame-errors", "20", "--seed", "3",
+        )
+        assert code == 0
+        config = SweepConfig(
+            code=bhattacharyya_construct(128, 96, ConstructionParams(0.02)), decoder="hard",
+            ebn0_start=4.0, ebn0_stop=6.0, ebn0_step=2.0,
+            max_frames=500, min_frame_errors=20, master_seed=3,
+        )
+        metadata = {"code": "128,96", "decoder": "hard", "seed": 3}
+        assert out == emit_csv(run_sweep(config), metadata)
+
+    def test_workers_zero_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--code", "16,11", "--ebn0", "5:5:1",
+            "--max-frames", "100", "--min-frame-errors", "5", "--workers", "0",
+        )
+        assert code == 1 and "workers" in err
 
     def test_bad_ebn0_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--code", "16,11", "--ebn0", "5")

@@ -1,4 +1,6 @@
 import hashlib
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from polarfec import (
     parse_csv,
     run_sweep,
 )
-from polarfec.sweep import _FrameRandom, frame_draws, point_seed_for
+from polarfec import sweep as sweep_module
+from polarfec.sweep import CHUNK_FRAMES, _FrameRandom, frame_draws, point_seed_for
 
 
 class TestFrameStreams:
@@ -44,8 +47,9 @@ class TestFrameStreams:
         config = small_config(code=spec16_11)
         seed = point_seed_for(config.master_seed, 0)
         params = ChannelParams(2.0, 11 / 16)
-        bits_bulk, flags_bulk = _simulate_chunk((config, spec16_11, seed, 0, 2048, params))
-        bits_one, flags_one = _simulate_chunk((config, spec16_11, seed, 1000, 1, params))
+        shape = (11, 16, 11 / 16)
+        bits_bulk, flags_bulk = _simulate_chunk((config, spec16_11, shape, seed, 0, 2048, params))
+        bits_one, flags_one = _simulate_chunk((config, spec16_11, shape, seed, 1000, 1, params))
         assert bits_one[0] == bits_bulk[1000]
         assert flags_one[0] == flags_bulk[1000]
 
@@ -206,6 +210,23 @@ class TestRunSweep:
         digest = "4c19a72e0ba48a550761aeed8238bbe085571e161f83d419d36dbcd7b986c150"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # SHA-256 of emit_csv for (16,11) sweeps over 0:6:2 dB, recorded with the
+    # per-point pool driver; early stop cuts inside the second chunk at 4 dB.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("decoder, digest", [
+        ("soft_minsum", "95bb763e4ed20e57bddc87d34b0ba5407b88014fe245fd57d9bddb3b52d2b5e0"),
+        ("soft_exact", "4c38ed4838442fa3e4f76a764d96a9e98779fe9381ccf6670e37da80e09397cc"),
+        ("hard", "30bf98ad2436d3f5b5235f03ec046fbb836fc4d3a2982c953bebdbf105b5dc43"),
+        ("fixed", "d4a89f58d88efc6d397bf3a3b605579da6329a3178d8c1e4344fdc207c7f7934"),
+    ])
+    def test_polar_sweep_bytes_pinned(self, spec16_11, decoder, digest, workers):
+        config = SweepConfig(
+            code=spec16_11, decoder=decoder, ebn0_start=0.0, ebn0_stop=6.0, ebn0_step=2.0,
+            max_frames=6000, min_frame_errors=100, master_seed=21, quant_bits=5, frac_bits=1,
+        )
+        text = sweep_csv(config, workers)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_fixed_sweep_runs(self, spec16_11):
         config = small_config(code=spec16_11, decoder="fixed", quant_bits=5, frac_bits=1)
         (p0, p1) = run_sweep(config)
@@ -216,6 +237,64 @@ class TestRunSweep:
         assert point.low_confidence
         point = SweepPoint(1.0, 1000, 500, 100, 0.05, 0.1)
         assert not point.low_confidence
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and runs
+    every submitted chunk inline, so no process is started."""
+
+    opened = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestSweepDriver:
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "opened", [])
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        return RecordingPool.opened
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(small_config(), workers=workers)
+
+    def test_one_pool_per_sweep(self, pools):
+        config = small_config(ebn0_start=0.0, ebn0_stop=8.0, max_frames=4097, min_frame_errors=1)
+        assert len(config.ebn0_points()) == 9
+        serial = run_sweep(config, workers=1)
+        assert pools == []
+        assert run_sweep(config, workers=2) == serial
+        assert pools == [2]
+
+    def test_pool_sized_to_chunks_per_point(self, pools):
+        run_sweep(small_config(max_frames=6000), workers=8)
+        assert pools == [2]
+        run_sweep(small_config(max_frames=4096), workers=8)
+        assert pools == [2]  # one chunk per point: no pool at all
+
+    def test_chunks_are_generated_lazily(self, spec16_11):
+        config = SweepConfig(
+            code=spec16_11, ebn0_start=0.0, ebn0_stop=0.0,
+            max_frames=10**15, min_frame_errors=10,
+        )
+        start = time.perf_counter()
+        (point,) = run_sweep(config)
+        assert time.perf_counter() - start < 1.0
+        assert point.frame_errors == 10 and point.frames < CHUNK_FRAMES
 
 
 class TestCsv:
@@ -255,6 +334,11 @@ class TestCsv:
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_csv("ebno_db,frames\n1,2\n")
+
+
+def sweep_csv(config, workers=1):
+    metadata = {"code": config.code_label(), "decoder": config.decoder_label(), "seed": config.master_seed}
+    return emit_csv(run_sweep(config, workers=workers), metadata)
 
 
 def rs_csv(config):
