@@ -26,17 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import encode_nonsystematic, f_minsum, g_func
+from .codec import _llr_frame, encode_nonsystematic, f_minsum, g_func
 from .construction import is_power_of_two
 
 ARCH_KINDS = ("conventional", "two_bit_sc", "proposed")
-
-# First-bit-pair schedule signatures, one clock per parenthesized group.
-SCHEDULE_LABELS = {
-    "conventional": "(F)-(F)-(F)-(F)-(G)",
-    "two_bit_sc": "(F)-(F)-(F)-(F-G)",
-    "proposed": "(F-F-F-F-G)",
-}
 
 
 def _check_arch(arch):
@@ -58,6 +51,22 @@ def latency_clocks(n_bits, arch):
     if arch == "two_bit_sc":
         return 3 * n_bits // 2 - 2
     return n_bits // 2
+
+
+def schedule_label(n_bits, arch):
+    """First-bit-pair schedule signature, one parenthesized group per clock.
+
+    Renders the clock plan up to and including the first clock holding a
+    stage-0 G or FG, the merged FG shown as F-G: "(F)-(F)-(F)-(F)-(G)" for
+    conventional at N = 16.
+    """
+    latency_clocks(n_bits, arch)  # validates n_bits and arch
+    groups = []
+    for steps in _clock_plan(n_bits.bit_length() - 1, arch):
+        functions = [function for function, _, _, _ in steps]
+        groups.append("(" + "-".join(functions).replace("FG", "F-G") + ")")
+        if any(stage == 0 and function != "F" for function, stage, _, _ in steps):
+            return "-".join(groups)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,9 +115,7 @@ def build_schedule(spec, arch, channel_llrs):
     before any feedback.  total_clocks always equals latency_clocks.
     """
     _check_arch(arch)
-    llrs = np.asarray(channel_llrs, dtype=float)
-    if len(llrs) != spec.block_len:
-        raise ValueError(f"expected {spec.block_len} LLRs, got {len(llrs)}")
+    llrs = _llr_frame(channel_llrs, spec)
     expected = latency_clocks(spec.block_len, arch)
     plan = _clock_plan(spec.stages, arch)
     activations, pairs = _execute(plan, llrs.tolist(), spec.frozen_mask().tolist())

@@ -113,6 +113,6 @@ def decode_fixed_rows(llrs, spec, qspec):
     return _sc_rows(raw, spec.frozen_mask(), _f_minsum_rows, g_sat_rows)
 
 
-def hard_llr_rows(bits, saturation=1.0):
-    """Map hard decisions to saturated LLR rows, bit 0 -> +saturation."""
-    return np.where(np.asarray(bits, dtype=np.uint8) == 0, saturation, -saturation)
+def hard_llr_rows(bits):
+    """Map hard decisions to unit LLR rows, bit 0 -> +1.0 and bit 1 -> -1.0."""
+    return np.where(np.asarray(bits, dtype=np.uint8) == 0, 1.0, -1.0)

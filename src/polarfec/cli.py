@@ -17,6 +17,7 @@ from .construction import (
     bhattacharyya_construct,
     parse_spec_text,
     to_spec_text,
+    validate_domination,
 )
 
 USAGE_EXIT = 1
@@ -26,35 +27,36 @@ NO_CROSSING_EXIT = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _parse_code(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise _UsageError(f"--code expects N,K, got {text!r}")
+        raise ValueError(f"--code expects N,K, got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
 def _parse_ebn0(text):
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"--ebn0 expects start:stop:step, got {text!r}")
+        raise ValueError(f"--ebn0 expects start:stop:step, got {text!r}")
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
 def _load_spec(args):
     if args.spec_file:
         with open(args.spec_file) as fh:
-            return parse_spec_text(fh.read())
+            spec = parse_spec_text(fh.read())
+        if not validate_domination(spec):
+            raise ValueError(
+                f"{args.spec_file}: two-pass systematic encoding is not exact for this frozen set"
+            )
+        return spec
     if args.code:
         n, k = _parse_code(args.code)
         return bhattacharyya_construct(n, k, ConstructionParams(args.design_z0))
-    raise _UsageError("one of --code or --spec-file is required")
+    raise ValueError("one of --code or --spec-file is required")
 
 
 def _write_out(text, out):
@@ -65,11 +67,8 @@ def _write_out(text, out):
             fh.write(text)
 
 
-def _parse_bits(text, expected):
-    bits = [c for c in text if c in "01"]
-    if len(bits) != expected:
-        raise _UsageError(f"expected {expected} bits, got {len(bits)}")
-    return np.array([int(c) for c in bits], dtype=np.uint8)
+def _parse_bits(text):
+    return [int(c) for c in text if c in "01"]
 
 
 def _bits_str(bits):
@@ -84,7 +83,7 @@ def _cmd_construct(args):
 
 def _cmd_encode(args):
     spec = _load_spec(args)
-    info = _parse_bits(args.bits, spec.info_len)
+    info = _parse_bits(args.bits)
     codeword = codec.encode_systematic(info, spec)
     _write_out(_bits_str(codeword) + "\n", args.out)
     return 0
@@ -93,13 +92,9 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     spec = _load_spec(args)
     if args.decoder == "hard":
-        bits = _parse_bits(args.values, spec.block_len)
-        result = codec.hard_decision_decode(bits, spec)
+        result = codec.hard_decision_decode(_parse_bits(args.values), spec)
     else:
-        tokens = args.values.replace(",", " ").split()
-        if len(tokens) != spec.block_len:
-            raise _UsageError(f"expected {spec.block_len} LLRs, got {len(tokens)}")
-        llrs = np.array([float(t) for t in tokens])
+        llrs = [float(t) for t in args.values.replace(",", " ").split()]
         if args.decoder == "fixed":
             result = quantized.sc_decode_fixed(
                 llrs, spec, quantized.QuantSpec(args.quant_bits, args.frac_bits)
@@ -122,27 +117,24 @@ def _cmd_sweep(args):
     else:
         code = _load_spec(args)
     start, stop, step = _parse_ebn0(args.ebn0)
-    try:
-        config = sweep_mod.SweepConfig(
-            code=code,
-            decoder=args.decoder,
-            ebn0_start=start,
-            ebn0_stop=stop,
-            ebn0_step=step,
-            max_frames=args.max_frames,
-            min_frame_errors=args.min_frame_errors,
-            master_seed=args.seed,
-            quant_bits=args.quant_bits,
-            frac_bits=args.frac_bits,
-        )
-        points = sweep_mod.run_sweep(config, workers=args.workers)
-        metadata = {
-            "code": config.code_label(),
-            "decoder": config.decoder_label(),
-            "seed": config.master_seed,
-        }
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    config = sweep_mod.SweepConfig(
+        code=code,
+        decoder=args.decoder,
+        ebn0_start=start,
+        ebn0_stop=stop,
+        ebn0_step=step,
+        max_frames=args.max_frames,
+        min_frame_errors=args.min_frame_errors,
+        master_seed=args.seed,
+        quant_bits=args.quant_bits,
+        frac_bits=args.frac_bits,
+    )
+    points = sweep_mod.run_sweep(config, workers=args.workers)
+    metadata = {
+        "code": config.code_label(),
+        "decoder": config.decoder_label(),
+        "seed": config.master_seed,
+    }
     _write_out(sweep_mod.emit_csv(points, metadata), args.out)
     return 0
 
@@ -160,7 +152,7 @@ def _cmd_latency(args):
     clocks = {}
     for arch in architecture.ARCH_KINDS:
         clocks[arch] = architecture.latency_clocks(n, arch)
-        label = architecture.SCHEDULE_LABELS[arch]
+        label = architecture.schedule_label(n, arch)
         lines.append(f"{arch:<13} {label:<22} {clocks[arch]} clocks")
     lines.append(
         "speedup of proposed: "
@@ -272,9 +264,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import butterfly, encode_systematic_rows
+from .batch import butterfly, encode_systematic_rows, hard_llr_rows
 from .construction import is_power_of_two
 
 
@@ -44,6 +44,17 @@ class DecodeResult:
     info_bits: np.ndarray
     pe_op_count: int
     saturation_events: int | None = None
+
+
+def _llr_frame(channel_llrs, spec):
+    """One frame of channel LLRs as a float array, checked to hold exactly
+    N finite values; every scalar decoder takes its input through here."""
+    llrs = np.asarray(channel_llrs, dtype=float)
+    if llrs.shape != (spec.block_len,):
+        raise ValueError(f"expected {spec.block_len} LLRs, got {llrs.size}")
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLR must be finite")
+    return llrs
 
 
 def _as_bits(bits):
@@ -165,7 +176,7 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
     Parameters
     ----------
     channel_llrs : array-like of float
-        N channel LLRs, positive favouring bit 0.
+        N finite channel LLRs, positive favouring bit 0.
     spec : CodeSpec
     f_mode : {"minsum", "exact"}
 
@@ -173,9 +184,7 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
     -------
     DecodeResult
     """
-    llrs = np.asarray(channel_llrs, dtype=float)
-    if len(llrs) != spec.block_len:
-        raise ValueError(f"expected {spec.block_len} LLRs, got {len(llrs)}")
+    llrs = _llr_frame(channel_llrs, spec)
     if f_mode not in _F_MODES:
         raise ValueError(f"f_mode must be one of {tuple(_F_MODES)}, got {f_mode!r}")
     u_hat, x_hat = _sc_recursion(llrs.tolist(), spec.frozen_mask(), _F_MODES[f_mode], g_func)
@@ -187,18 +196,14 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
     )
 
 
-def hard_decision_decode(received_bits, spec, saturation=1.0):
-    """Decode hard channel decisions by mapping them onto saturated LLRs.
+def hard_decision_decode(received_bits, spec):
+    """Decode hard channel decisions by mapping them onto unit LLRs.
 
-    Bit 0 maps to +saturation, bit 1 to -saturation, then the min-sum SC
-    decoder runs unchanged.  Min-sum decisions are scale invariant for
-    uniform input magnitudes, so the saturation constant only needs to be
-    positive.
+    Bit 0 maps to +1.0, bit 1 to -1.0, then the min-sum SC decoder runs
+    unchanged.  Every min-sum sum of unit inputs is an exact integer, so
+    zero ties stay exact zeros.
     """
     bits = _as_bits(received_bits)
     if len(bits) != spec.block_len:
         raise ValueError(f"expected {spec.block_len} bits, got {len(bits)}")
-    if saturation <= 0:
-        raise ValueError("saturation must be positive")
-    llrs = np.where(bits == 0, float(saturation), -float(saturation))
-    return sc_decode(llrs, spec, f_mode="minsum")
+    return sc_decode(hard_llr_rows(bits), spec, f_mode="minsum")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import quantize_rows
-from .codec import DecodeResult, _sc_recursion, f_minsum, g_func
+from .codec import DecodeResult, _llr_frame, _sc_recursion, f_minsum, g_func
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,7 @@ def sc_decode_fixed(channel_llrs, spec, qspec):
     -------
     DecodeResult with saturation_events set.
     """
-    llrs = np.asarray(channel_llrs, dtype=float)
-    if len(llrs) != spec.block_len:
-        raise ValueError(f"expected {spec.block_len} LLRs, got {len(llrs)}")
-    if not np.isfinite(llrs).all():
-        raise ValueError("LLR must be finite")
+    llrs = _llr_frame(channel_llrs, spec)
     max_mag = qspec.max_mag
     # A channel LLR saturates exactly when it lies half a grid step or more
     # beyond the largest magnitude, because it then rounds past max_mag.

@@ -134,13 +134,15 @@ class RsDecodeResult:
     failure: bool
 
 
-def _check_symbols(symbols, expected_len):
-    syms = [int(s) for s in symbols]
-    if len(syms) != expected_len:
-        raise ValueError(f"expected {expected_len} symbols, got {len(syms)}")
-    if any(not 0 <= s < 16 for s in syms):
+def _check_symbol_rows(rows, expected_len, one_word=False):
+    """The rows as an array, checked for row length, for being a single row
+    when one_word is set, and, before any cast, to lie in [0, 15]."""
+    arr = np.asarray(rows)
+    if arr.ndim < 1 or arr.shape[-1] != expected_len or (one_word and arr.ndim != 1):
+        raise ValueError(f"expected {expected_len} symbols per row, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() > 15):
         raise ValueError("symbols must lie in [0, 15]")
-    return syms
+    return arr
 
 
 def rs_encode(info_symbols):
@@ -149,14 +151,12 @@ def rs_encode(info_symbols):
     Parity is the remainder of info(x) * x^4 modulo the generator; every
     syndrome of the result is zero.
     """
-    info = _check_symbols(info_symbols, K_SYMBOLS)
-    return info + _gf16_map([info], _PARITY_TABLE)[0].tolist()
+    return rs_encode_rows(_check_symbol_rows(info_symbols, K_SYMBOLS, one_word=True)).tolist()
 
 
 def rs_syndromes(received):
     """Evaluate the received polynomial at alpha^1 .. alpha^4."""
-    r = _check_symbols(received, N_SYMBOLS)
-    return _gf16_map([r], _SYNDROME_TABLE)[0].tolist()
+    return rs_syndromes_rows(_check_symbol_rows(received, N_SYMBOLS, one_word=True)).tolist()
 
 
 def rs_decode(received):
@@ -169,7 +169,7 @@ def rs_decode(received):
     beyond two errors may be miscorrected to a nearby codeword; that is
     inherent to bounded-distance decoding.
     """
-    r = _check_symbols(received, N_SYMBOLS)
+    r = np.asarray(_check_symbol_rows(received, N_SYMBOLS, one_word=True), dtype=np.uint8).tolist()
     synd = rs_syndromes(r)
     if max(synd) == 0:
         return RsDecodeResult(tuple(r[:K_SYMBOLS]), False)
@@ -263,24 +263,13 @@ def _forney_correct(word, synd, locator, positions):
     return True
 
 
-def _check_symbol_rows(rows, expected_len):
-    """The rows as an array, checked for row length and, before any cast, to
-    lie in [0, 15]."""
-    arr = np.asarray(rows)
-    if arr.ndim < 1 or arr.shape[-1] != expected_len:
-        raise ValueError(f"expected {expected_len} symbols per row, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() > 15):
-        raise ValueError("symbols must lie in [0, 15]")
-    return arr
-
-
 def rs_encode_rows(info_rows):
     """Row-wise systematic encoding of a (frames, 11) symbol array.
 
     Matches rs_encode on every row; used by the Monte-Carlo engine.
     """
     info = np.asarray(_check_symbol_rows(info_rows, K_SYMBOLS), dtype=np.uint8)
-    return np.concatenate([info, _gf16_map(info, _PARITY_TABLE).astype(np.uint8)], axis=1)
+    return np.concatenate([info, _gf16_map(info, _PARITY_TABLE).astype(np.uint8)], axis=-1)
 
 
 def rs_syndromes_rows(received_rows):

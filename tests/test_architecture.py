@@ -13,6 +13,7 @@ from polarfec import (
     latency_clocks,
     sc_decode,
 )
+from polarfec.architecture import schedule_label
 
 
 class TestLatency:
@@ -190,6 +191,29 @@ class TestSchedules:
             build_schedule(spec16_11, "proposed", np.zeros(8))
         with pytest.raises(ValueError):
             build_schedule(spec16_11, "wavefront", np.zeros(16))
+
+
+class TestScheduleLabel:
+    def test_n16_matches_paper_signatures(self):
+        assert schedule_label(16, "conventional") == "(F)-(F)-(F)-(F)-(G)"
+        assert schedule_label(16, "two_bit_sc") == "(F)-(F)-(F)-(F-G)"
+        assert schedule_label(16, "proposed") == "(F-F-F-F-G)"
+
+    def test_n4(self):
+        assert schedule_label(4, "conventional") == "(F)-(F)-(G)"
+        assert schedule_label(4, "two_bit_sc") == "(F)-(F-G)"
+        assert schedule_label(4, "proposed") == "(F-F-G)"
+
+    def test_n128_has_one_f_per_stage(self):
+        assert schedule_label(128, "conventional") == "-".join(["(F)"] * 7 + ["(G)"])
+        assert schedule_label(128, "two_bit_sc") == "-".join(["(F)"] * 6 + ["(F-G)"])
+        assert schedule_label(128, "proposed") == "(" + "-".join(["F"] * 7 + ["G"]) + ")"
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            schedule_label(12, "proposed")
+        with pytest.raises(ValueError):
+            schedule_label(16, "wavefront")
 
 
 class TestTraceFormat:

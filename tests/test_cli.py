@@ -94,6 +94,44 @@ class TestEncodeDecode:
         code, _, err = run_cli(capsys, "decode", "--code", "16,11", "1.0 2.0")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("decoder", ["soft_minsum", "soft_exact", "fixed"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_llr(self, capsys, decoder, bad):
+        llrs = " ".join([bad] + ["1"] * 15)
+        code, out, err = run_cli(capsys, "decode", "--code", "16,11", "--decoder", decoder, "--", llrs)
+        assert code == 1 and out == ""
+        assert err == "error: LLR must be finite\n"
+
+
+class TestSpecFileExactness:
+    # at N=8 freezing 1, 2, 3 and 5 breaks two-pass systematic encoding:
+    # the message 1111 encodes to 01110111, whose info positions read 0011
+    @pytest.fixture
+    def bad_spec(self, tmp_path):
+        path = tmp_path / "bad.spec"
+        path.write_text("8 4\n1 2 3 5\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct"],
+        ["encode", "1111"],
+        ["decode", "--", "1 1 1 1 1 1 1 1"],
+        ["decode", "--decoder", "hard", "00000000"],
+        ["sweep", "--ebn0", "60:60:1", "--max-frames", "200", "--min-frame-errors", "1000"],
+        ["latency"],
+        ["latency", "--trace"],
+    ])
+    def test_non_exact_spec_file_exits_1(self, capsys, bad_spec, argv):
+        code, out, err = run_cli(capsys, argv[0], "--spec-file", bad_spec, *argv[1:])
+        assert code == 1 and out == ""
+        assert err == f"error: {bad_spec}: two-pass systematic encoding is not exact for this frozen set\n"
+
+    def test_exact_hand_written_spec_file_accepted(self, capsys, tmp_path):
+        path = tmp_path / "good.spec"
+        path.write_text("8 4\n0 1 2 4\n")
+        code, out, _ = run_cli(capsys, "encode", "--spec-file", str(path), "1111")
+        assert code == 0 and out == "11111111\n"
+
 
 class TestSweepCommand:
     def test_csv_output(self, capsys, tmp_path):
@@ -186,6 +224,32 @@ class TestLatencyCommand:
         assert "22 clocks" in out
         assert "8 clocks" in out
         assert "3.75x" in out and "2.75x" in out
+
+    def test_table_n16_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "latency", "--code", "16,11")
+        assert code == 0
+        assert out == (
+            "architecture  schedule(first pair)   clocks for (16,11)\n"
+            "conventional  (F)-(F)-(F)-(F)-(G)    30 clocks\n"
+            "two_bit_sc    (F)-(F)-(F)-(F-G)      22 clocks\n"
+            "proposed      (F-F-F-F-G)            8 clocks\n"
+            "speedup of proposed: 3.75x vs conventional, 2.75x vs 2b-SC\n"
+        )
+
+    def test_table_labels_follow_block_length(self, capsys):
+        code, out, _ = run_cli(capsys, "latency", "--code", "4,2")
+        assert code == 0
+        assert out.splitlines()[1:4] == [
+            "conventional  (F)-(F)-(G)            6 clocks",
+            "two_bit_sc    (F)-(F-G)              4 clocks",
+            "proposed      (F-F-G)                2 clocks",
+        ]
+        code, out, _ = run_cli(capsys, "latency", "--code", "128,96")
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[1].split()[1] == "-".join(["(F)"] * 7 + ["(G)"])
+        assert rows[2].split()[1] == "-".join(["(F)"] * 6 + ["(F-G)"])
+        assert rows[3].split()[1] == "(F-F-F-F-F-F-F-G)"
 
     def test_trace_dump(self, capsys):
         code, out, _ = run_cli(

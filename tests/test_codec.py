@@ -7,6 +7,8 @@ import pytest
 import oracles
 from polarfec import (
     DecodeResult,
+    QuantSpec,
+    build_schedule,
     encode_nonsystematic,
     encode_systematic,
     f_exact,
@@ -14,7 +16,16 @@ from polarfec import (
     g_func,
     hard_decision_decode,
     sc_decode,
+    sc_decode_fixed,
 )
+
+# Every scalar entry point that takes one frame of channel LLRs.
+FRAME_DECODERS = {
+    "minsum": lambda llrs, spec: sc_decode(llrs, spec, f_mode="minsum"),
+    "exact": lambda llrs, spec: sc_decode(llrs, spec, f_mode="exact"),
+    "fixed": lambda llrs, spec: sc_decode_fixed(llrs, spec, QuantSpec(5, 1)),
+    "schedule": lambda llrs, spec: build_schedule(spec, "proposed", llrs),
+}
 
 
 class TestEncodeNonsystematic:
@@ -218,12 +229,25 @@ class TestHardDecisionDecode:
         assert not res.u_hat[list(spec128_96.frozen_set)].any()
         assert np.array_equal(res.x_hat, encode_nonsystematic(res.u_hat))
 
-    def test_saturation_scale_invariance(self, spec16_11, rng):
-        bits = rng.integers(0, 2, 16).astype(np.uint8)
-        a = hard_decision_decode(bits, spec16_11, saturation=1.0)
-        b = hard_decision_decode(bits, spec16_11, saturation=7.25)
-        assert np.array_equal(a.u_hat, b.u_hat)
 
-    def test_rejects_bad_saturation(self, spec16_11):
-        with pytest.raises(ValueError):
-            hard_decision_decode(np.zeros(16, dtype=np.uint8), spec16_11, saturation=0.0)
+class TestLlrFrameCheck:
+    @pytest.mark.parametrize("decode", FRAME_DECODERS.values(), ids=FRAME_DECODERS.keys())
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, decode, bad, spec16_11):
+        llrs = np.ones(16)
+        llrs[5] = bad
+        with pytest.raises(ValueError, match="LLR must be finite"):
+            decode(llrs, spec16_11)
+
+    @pytest.mark.parametrize("decode", FRAME_DECODERS.values(), ids=FRAME_DECODERS.keys())
+    def test_rejects_infinite_halves(self, decode, spec16_11):
+        # min-sum and exact once disagreed here: inf - inf is NaN in f_exact
+        llrs = np.concatenate([np.full(8, -math.inf), np.full(8, math.inf)])
+        with pytest.raises(ValueError, match="LLR must be finite"):
+            decode(llrs, spec16_11)
+
+    @pytest.mark.parametrize("decode", FRAME_DECODERS.values(), ids=FRAME_DECODERS.keys())
+    @pytest.mark.parametrize("shape", [(8,), (17,), (1, 16), ()])
+    def test_rejects_wrong_shape(self, decode, shape, spec16_11):
+        with pytest.raises(ValueError, match="expected 16 LLRs"):
+            decode(np.zeros(shape), spec16_11)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -113,8 +115,8 @@ def test_validate_domination_matches_algebraic_oracle():
 
     rng = np.random.default_rng(4)
     seen_false = seen_true = 0
-    for _ in range(60):
-        n = int(rng.choice([4, 8, 16]))
+    for _ in range(80):
+        n = int(rng.choice([4, 8, 16, 32]))
         k = int(rng.integers(1, n + 1))
         frozen = tuple(sorted(rng.choice(n, size=n - k, replace=False).tolist()))
         info = tuple(sorted(set(range(n)) - set(frozen)))
@@ -127,7 +129,23 @@ def test_validate_domination_matches_algebraic_oracle():
 
 
 def test_validate_domination_sampled_large(spec128_96):
-    assert validate_domination(spec128_96, max_samples=500) is True
+    assert validate_domination(spec128_96) is True
+
+
+def test_validate_domination_rejects_large_non_exact_spec():
+    # K = 28: the frozen 1, 2 and 3 lie between the info indices 0 and 7 in
+    # bit-support order, an odd count
+    frozen = (1, 2, 3, 5)
+    spec = CodeSpec(32, 28, frozen, tuple(sorted(set(range(32)) - set(frozen))))
+    assert oracles.two_pass_exact_algebraic(spec) is False
+    assert validate_domination(spec) is False
+
+
+def test_validate_domination_is_fast_at_1024():
+    spec = bhattacharyya_construct(1024, 512)
+    start = time.perf_counter()
+    assert validate_domination(spec) is True
+    assert time.perf_counter() - start < 1.0
 
 
 def test_spec_text_round_trip(spec16_11, tmp_path):

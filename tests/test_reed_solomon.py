@@ -92,6 +92,14 @@ class TestEncode:
         with pytest.raises(ValueError):
             rs_encode([0] * 10)
 
+    @pytest.mark.parametrize("scalar, length", [(rs_encode, 11), (rs_syndromes, 15), (rs_decode, 15)])
+    def test_scalar_entry_points_take_one_word(self, scalar, length):
+        for bad in ([[0] * length], [[0] * length] * 2, 0, [0] * (length + 1)):
+            with pytest.raises(ValueError, match="symbols per row"):
+                scalar(bad)
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 15\]"):
+            scalar([0] * (length - 1) + [-1])
+
 
 class TestDecode:
     def test_error_free_identity(self, rng):
