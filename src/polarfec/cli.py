@@ -68,6 +68,10 @@ def _write_out(text, out):
 
 
 def _parse_bits(text):
+    """Bits of a string of 0s and 1s, optionally split by whitespace or commas."""
+    bad = "".join(sorted({c for c in text if c not in "01," and not c.isspace()}))
+    if bad:
+        raise ValueError(f"bits must be 0 or 1, got {bad!r}")
     return [int(c) for c in text if c in "01"]
 
 
@@ -148,12 +152,13 @@ def _cmd_latency(args):
         trace = architecture.build_schedule(spec, args.arch, llrs)
         _write_out(architecture.format_trace(trace), args.out)
         return 0
-    lines = [f"architecture  schedule(first pair)   clocks for ({n},{k})"]
+    labels = {arch: architecture.schedule_label(n, arch) for arch in architecture.ARCH_KINDS}
+    width = max(22, *map(len, labels.values()))
+    lines = [f"architecture  {'schedule(first pair)':<{width}} clocks for ({n},{k})"]
     clocks = {}
-    for arch in architecture.ARCH_KINDS:
+    for arch, label in labels.items():
         clocks[arch] = architecture.latency_clocks(n, arch)
-        label = architecture.schedule_label(n, arch)
-        lines.append(f"{arch:<13} {label:<22} {clocks[arch]} clocks")
+        lines.append(f"{arch:<13} {label:<{width}} {clocks[arch]} clocks")
     lines.append(
         "speedup of proposed: "
         f"{clocks['conventional'] / clocks['proposed']:g}x vs conventional, "

@@ -1,11 +1,12 @@
-"""Monte-Carlo BER/FER sweep engine with deterministic per-frame streams.
+"""Monte-Carlo BER/FER sweep engine with deterministic block-keyed streams.
 
-Every frame's randomness comes from a counter-based stream keyed by
-(point_seed, frame_index), so a sweep's outcome is a pure function of its
-configuration: frames may be simulated in any order, in chunks, or on any
-number of parallel workers without changing a single count.  Early stopping
-cuts at the exact frame where the requested number of frame errors is
-reached.
+Frame i of a point takes its randomness from row i % STREAM_FRAMES of one
+stream block: a counter-based Philox stream keyed by (point_seed,
+i // STREAM_FRAMES) that draws the block's messages and then its noise.  A
+sweep's outcome is therefore a pure function of its configuration: frames
+may be simulated in any order, in chunks of any size, or on any number of
+parallel workers without changing a single count.  Early stopping cuts at
+the exact frame where the requested number of frame errors is reached.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .quantized import QuantSpec
 
 DECODERS = ("soft_exact", "soft_minsum", "hard", "fixed", "rs15_11")
 
+# Frames per keyed stream block; fixed, because it defines every draw.
+STREAM_FRAMES = 256
+# Largest scheduling chunk; any value gives the same counts.
 CHUNK_FRAMES = 4096
 
 # Confidence floor: points with fewer frame errors are flagged, not trusted.
@@ -110,40 +115,24 @@ class SweepPoint:
         return self.frame_errors < MIN_CONFIDENT_ERRORS
 
 
-class _FrameRandom:
-    """Reusable Philox generator reset per frame; equals a fresh
-    Generator(Philox(key=[point_seed, frame])) draw for draw."""
-
-    def __init__(self, point_seed):
-        self._point_seed = point_seed
-        self._bitgen = np.random.Philox(key=[point_seed, 0])
-        self._gen = np.random.Generator(self._bitgen)
-        self._template = self._bitgen.state
-
-    def frame(self, frame_index):
-        state = self._template
-        state["state"]["key"] = np.array([self._point_seed, frame_index], dtype=np.uint64)
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
-        return self._gen
-
-    def draws(self, frame_index, payload_bits, channel_bits, sigma):
-        """One frame's random draws: message bits, then channel noise."""
-        gen = self.frame(frame_index)
-        message = gen.integers(0, 2, size=payload_bits, dtype=np.uint8)
-        return message, gen.normal(0.0, sigma, size=channel_bits)
+def _block_draws(point_seed, block, payload_bits, channel_bits, sigma):
+    """Stream block `block` of a point: STREAM_FRAMES messages, then their
+    channel noise, from Generator(Philox(key=[point_seed, block]))."""
+    gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
+    messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
+    return messages, gen.normal(0.0, sigma, size=(STREAM_FRAMES, channel_bits))
 
 
 def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
     """The per-frame random draws: message bits, then channel noise.
 
-    This is the reference definition of a frame's randomness; the chunked
-    engine draws every frame through the same _FrameRandom.draws.
+    This is the reference definition of a frame's randomness: row
+    frame_index % STREAM_FRAMES of block frame_index // STREAM_FRAMES.  The
+    chunked engine draws the same whole blocks and slices them.
     """
-    return _FrameRandom(point_seed).draws(frame_index, payload_bits, channel_bits, sigma)
+    block, row = divmod(frame_index, STREAM_FRAMES)
+    messages, noise = _block_draws(point_seed, block, payload_bits, channel_bits, sigma)
+    return messages[row], noise[row]
 
 
 def point_seed_for(master_seed, point_index):
@@ -171,10 +160,15 @@ def _simulate_chunk(args):
     payload_bits, channel_bits, _ = shape
     messages = np.empty((count, payload_bits), dtype=np.uint8)
     noise = np.empty((count, channel_bits))
-    frame_rng = _FrameRandom(point_seed)
-    sigma = params.noise_sigma
-    for i in range(count):
-        messages[i], noise[i] = frame_rng.draws(start + i, payload_bits, channel_bits, sigma)
+    stop = start + count
+    for block in range(start // STREAM_FRAMES, -(-stop // STREAM_FRAMES)):
+        first = block * STREAM_FRAMES
+        lo, hi = max(start, first), min(stop, first + STREAM_FRAMES)
+        block_messages, block_noise = _block_draws(
+            point_seed, block, payload_bits, channel_bits, params.noise_sigma
+        )
+        messages[lo - start:hi - start] = block_messages[lo - first:hi - first]
+        noise[lo - start:hi - start] = block_noise[lo - first:hi - first]
 
     if config.decoder == "rs15_11":
         decoded = _run_rs_frames(messages, noise, params)
@@ -214,15 +208,30 @@ def _run_rs_frames(messages, noise, params):
     return reed_solomon.symbols_to_bits(decoded_symbols)
 
 
+def _chunk_starts(max_frames):
+    """First frames of one point's chunks, as (ramp, steady).
+
+    ramp lists the growing chunks: the first is one stream block and each
+    next one doubles, so a point that stops early wastes little.  steady is
+    the range of the CHUNK_FRAMES-sized chunks after it.
+    """
+    ramp, start, size = [], 0, min(STREAM_FRAMES, CHUNK_FRAMES)
+    while size < CHUNK_FRAMES and start < max_frames:
+        ramp.append(start)
+        start, size = start + size, 2 * size
+    return ramp, range(start, max_frames, CHUNK_FRAMES)
+
+
 def run_sweep(config, workers=1):
     """Run the configured sweep; returns one SweepPoint per Eb/N0 value.
 
     The result is a pure function of config: counts are identical for any
-    worker count, because each chunk of frames is simulated from its own
-    keyed streams and chunks are reduced in index order with the stop rule
-    evaluated on the exact per-frame error sequence.  With workers > 1 the
-    whole sweep shares one process pool of min(workers, chunks per point)
-    processes.
+    worker count and any chunk size, because frame i's draws come from
+    stream block i // STREAM_FRAMES whichever chunk simulates it, and chunks
+    are reduced in index order with the stop rule evaluated on the exact
+    per-frame error sequence.  Each point's chunks start at one block and
+    double up to CHUNK_FRAMES.  With workers > 1 the whole sweep shares one
+    process pool of min(workers, chunks per point) processes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -230,15 +239,16 @@ def run_sweep(config, workers=1):
     shape = _frame_shape(config, spec)
     payload_bits, _, rate = shape
     max_frames = config.max_frames
-    pool_size = min(workers, -(-max_frames // CHUNK_FRAMES))
+    ramp, steady = _chunk_starts(max_frames)
+    pool_size = min(workers, len(ramp) + len(steady))
     points = []
     with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
         for point_index, ebn0 in enumerate(config.ebn0_points()):
             params = channel.ChannelParams(ebn0, rate)
             pseed = point_seed_for(config.master_seed, point_index)
             chunks = (
-                (config, spec, shape, pseed, start, min(CHUNK_FRAMES, max_frames - start), params)
-                for start in range(0, max_frames, CHUNK_FRAMES)
+                (config, spec, shape, pseed, start, stop - start, params)
+                for start, stop in pairwise(chain(ramp, steady, [max_frames]))
             )
             # Passed inline, the results iterator is dropped, and its queued
             # chunks are cancelled, as soon as _reduce_point returns.

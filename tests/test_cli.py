@@ -90,6 +90,24 @@ class TestEncodeDecode:
         code, _, err = run_cli(capsys, "encode", "--code", "16,11", "1011")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("bits", ["1011x0111011", "1011-011-1011", "1011 0111 01O"])
+    def test_encode_rejects_bad_characters(self, capsys, bits):
+        code, out, err = run_cli(capsys, "encode", "--code", "16,11", bits)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bits must be 0 or 1")
+
+    def test_encode_accepts_separators(self, capsys):
+        _, plain, _ = run_cli(capsys, "encode", "--code", "16,11", "10110111011")
+        code, out, _ = run_cli(capsys, "encode", "--code", "16,11", "1011 0111,011\t")
+        assert code == 0 and out == plain
+
+    def test_decode_hard_rejects_bad_characters(self, capsys):
+        code, out, err = run_cli(
+            capsys, "decode", "--code", "16,11", "--decoder", "hard", "101101110111011x"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: bits must be 0 or 1, got 'x'\n"
+
     def test_wrong_llr_count(self, capsys):
         code, _, err = run_cli(capsys, "decode", "--code", "16,11", "1.0 2.0")
         assert code == 1 and "error" in err
@@ -250,6 +268,14 @@ class TestLatencyCommand:
         assert rows[1].split()[1] == "-".join(["(F)"] * 7 + ["(G)"])
         assert rows[2].split()[1] == "-".join(["(F)"] * 6 + ["(F-G)"])
         assert rows[3].split()[1] == "(F-F-F-F-F-F-F-G)"
+
+    def test_table_columns_aligned_at_n128(self, capsys):
+        code, out, _ = run_cli(capsys, "latency", "--code", "128,96")
+        assert code == 0
+        header, *rows = out.splitlines()[:4]
+        offsets = {header.index("clocks for")} | {row.index(row.split()[2]) for row in rows}
+        assert len(offsets) == 1
+        assert rows[0].startswith("conventional  " + "-".join(["(F)"] * 7 + ["(G)"]) + " 254 clocks")
 
     def test_trace_dump(self, capsys):
         code, out, _ = run_cli(

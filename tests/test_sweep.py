@@ -17,19 +17,21 @@ from polarfec import (
     run_sweep,
 )
 from polarfec import sweep as sweep_module
-from polarfec.sweep import CHUNK_FRAMES, _FrameRandom, frame_draws, point_seed_for
+from polarfec.sweep import STREAM_FRAMES, frame_draws, point_seed_for
 
 
 class TestFrameStreams:
     def test_frame_random_equals_fresh_philox(self):
-        reused = _FrameRandom(314159)
-        for frame in (0, 1, 17, 4096, 123456):
-            gen = reused.frame(frame)
-            bits = gen.integers(0, 2, size=11, dtype=np.uint8)
-            noise = gen.normal(0.0, 0.7, size=16)
-            fresh = np.random.Generator(np.random.Philox(key=[314159, frame]))
-            assert np.array_equal(bits, fresh.integers(0, 2, size=11, dtype=np.uint8))
-            assert np.array_equal(noise, fresh.normal(0.0, 0.7, size=16))
+        # frame i is row i % 256 of the block keyed [seed, i // 256], which
+        # draws all 256 messages and then all 256 noise rows
+        assert STREAM_FRAMES == 256
+        for frame in (0, 255, 256, 4095, 4096, 123456):
+            gen = np.random.Generator(np.random.Philox(key=[314159, frame // 256]))
+            bits = gen.integers(0, 2, size=(256, 11), dtype=np.uint8)[frame % 256]
+            noise = gen.normal(0.0, 0.7, size=(256, 16))[frame % 256]
+            message, frame_noise = frame_draws(314159, frame, 11, 16, 0.7)
+            assert np.array_equal(message, bits)
+            assert np.array_equal(frame_noise, noise)
 
     def test_frame_draws_reproducible(self):
         a = frame_draws(7, 99, 11, 16, 0.5)
@@ -185,13 +187,13 @@ class TestRunSweep:
         assert point.frame_errors >= 50 or point.frames == 4000
         assert 0 < point.ber < 0.5
 
-    # SHA-256 of emit_csv, recorded with the per-frame Berlekamp-Massey
-    # decoding loop, so any change to the RS sweep's counts shows here.
+    # SHA-256 of emit_csv, recorded with the 256-frame stream blocks at
+    # workers 1 and 2, so any change to the RS sweep's counts shows here.
     @pytest.mark.parametrize("seed, digest", [
-        (0, "1dbc573d5cceac62c3e5f88f54843f0fc09318a5c98846a5009d7253cff66c51"),
-        (1, "84540dfb35a5e4b5715d4706f9a1e2fef3855a2335565ae2d97162f60c8e6f01"),
-        (2, "10b5c5bef05c0e8f03b80ff20e282d99c5776492581033a1ecb09a3cb4e06794"),
-    ])
+        (0, "62ecd2188aee5825fcf89e388df717fd0f16b16c898871e54114f42074202447"),
+        (1, "cac04a82166cb60e350d519c21aaea73dd4e0f02e26267222166f74012e4e92f"),
+        (2, "9bf0458476a66bea57a3e4678a62e28086bbf4880d5970e6fefdde43427683e5"),
+    ], ids=["0", "1", "2"])
     def test_rs_sweep_bytes_pinned(self, seed, digest):
         text = "".join(
             rs_csv(SweepConfig(
@@ -207,18 +209,19 @@ class TestRunSweep:
             decoder="rs15_11", ebn0_start=0.0, ebn0_stop=8.0, ebn0_step=1.0,
             max_frames=20_000, min_frame_errors=50, master_seed=11,
         ))
-        digest = "4c19a72e0ba48a550761aeed8238bbe085571e161f83d419d36dbcd7b986c150"
+        digest = "a443df7b67537ececd990a5ec6e64727f177c93f2cec4c3ccef79e0df1624c8d"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     # SHA-256 of emit_csv for (16,11) sweeps over 0:6:2 dB, recorded with the
-    # per-point pool driver; early stop cuts inside the second chunk at 4 dB.
+    # 256-frame stream blocks at workers 1 and 2; early stop cuts inside the
+    # first or second chunk at 0 and 2 dB, and inside the last one at 4 dB.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("decoder, digest", [
-        ("soft_minsum", "95bb763e4ed20e57bddc87d34b0ba5407b88014fe245fd57d9bddb3b52d2b5e0"),
-        ("soft_exact", "4c38ed4838442fa3e4f76a764d96a9e98779fe9381ccf6670e37da80e09397cc"),
-        ("hard", "30bf98ad2436d3f5b5235f03ec046fbb836fc4d3a2982c953bebdbf105b5dc43"),
-        ("fixed", "d4a89f58d88efc6d397bf3a3b605579da6329a3178d8c1e4344fdc207c7f7934"),
-    ])
+        ("soft_minsum", "14e62df7e0c7d07adfa766f25ab379ad3c8d3b100e08e34aa6246abdefa7214c"),
+        ("soft_exact", "d8e366ff1801ee7b317bf7f0be07aa6816630a0dd6d3f7457e4e7b01e9e69e32"),
+        ("hard", "b43931c025364ee10e99937587afd318d1483bf86f8036db60b10c57561efced"),
+        ("fixed", "35f704f91a3e0e635cee5ed732a8ac575f52535f44755650d8174caba3dd16ba"),
+    ], ids=["soft_minsum", "soft_exact", "hard", "fixed"])
     def test_polar_sweep_bytes_pinned(self, spec16_11, decoder, digest, workers):
         config = SweepConfig(
             code=spec16_11, decoder=decoder, ebn0_start=0.0, ebn0_stop=6.0, ebn0_step=2.0,
@@ -226,6 +229,21 @@ class TestRunSweep:
         )
         text = sweep_csv(config, workers)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_counts_independent_of_chunk_frames(self, monkeypatch, spec16_11):
+        # early stop cuts at 0, 2 and 4 dB, each in a different chunk; 6 dB
+        # runs to max_frames, which none of the chunk sizes divides
+        config = SweepConfig(
+            code=spec16_11, decoder="hard", ebn0_start=0.0, ebn0_stop=6.0, ebn0_step=2.0,
+            max_frames=5000, min_frame_errors=100, master_seed=21,
+        )
+        texts = []
+        for chunk_frames in (256, 768, 4096):
+            monkeypatch.setattr(sweep_module, "CHUNK_FRAMES", chunk_frames)
+            texts.append(sweep_csv(config))
+        assert texts[0] == texts[1] == texts[2]
+        points, _ = parse_csv(texts[0])
+        assert [p.frames for p in points] == [187, 348, 1271, 5000]
 
     def test_fixed_sweep_runs(self, spec16_11):
         config = small_config(code=spec16_11, decoder="fixed", quant_bits=5, frac_bits=1)
@@ -281,12 +299,24 @@ class TestSweepDriver:
         assert pools == [2]
 
     def test_pool_sized_to_chunks_per_point(self, pools):
+        # 6000 frames are chunked 256, 512, 1024, 2048 and 2160
         run_sweep(small_config(max_frames=6000), workers=8)
-        assert pools == [2]
-        run_sweep(small_config(max_frames=4096), workers=8)
-        assert pools == [2]  # one chunk per point: no pool at all
+        assert pools == [5]
+        run_sweep(small_config(max_frames=6000), workers=3)
+        assert pools == [5, 3]
+        run_sweep(small_config(max_frames=STREAM_FRAMES), workers=8)
+        assert pools == [5, 3]  # one chunk per point: no pool at all
 
-    def test_chunks_are_generated_lazily(self, spec16_11):
+    def test_chunks_are_generated_lazily(self, monkeypatch, spec16_11):
+        simulated = []
+        simulate_chunk = sweep_module._simulate_chunk
+
+        def recording_chunk(args):
+            result = simulate_chunk(args)
+            simulated.append(len(result[1]))
+            return result
+
+        monkeypatch.setattr(sweep_module, "_simulate_chunk", recording_chunk)
         config = SweepConfig(
             code=spec16_11, ebn0_start=0.0, ebn0_stop=0.0,
             max_frames=10**15, min_frame_errors=10,
@@ -294,7 +324,8 @@ class TestSweepDriver:
         start = time.perf_counter()
         (point,) = run_sweep(config)
         assert time.perf_counter() - start < 1.0
-        assert point.frame_errors == 10 and point.frames < CHUNK_FRAMES
+        assert point.frame_errors == 10 and point.frames < STREAM_FRAMES
+        assert simulated == [STREAM_FRAMES]
 
 
 class TestCsv:
