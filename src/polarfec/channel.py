@@ -23,7 +23,8 @@ MODULATIONS = ("bpsk", "ook")
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Channel operating point.
+    """Channel operating point, and the one owner of the modulation that
+    modulate, llr_from_awgn and hard_slice all follow.
 
     noise_sigma is derived as sigma^2 = 1 / (2 * R * 10^(ebn0_db/10)); with
     unit-energy symbols this holds for either modulation.
@@ -45,15 +46,13 @@ class ChannelParams:
         return math.sqrt(1.0 / (2.0 * float(self.code_rate) * ebn0))
 
 
-def modulate(codeword, modulation="bpsk"):
-    """Map bits to real symbols: bpsk 0 -> +1, 1 -> -1; ook 0 -> 0, 1 -> +A
-    with A chosen for unit average energy."""
+def modulate(codeword, params):
+    """Map bits to real symbols in params.modulation: bpsk 0 -> +1, 1 -> -1;
+    ook 0 -> 0, 1 -> +A with A chosen for unit average energy."""
     bits = np.asarray(codeword, dtype=np.uint8)
-    if modulation == "bpsk":
+    if params.modulation == "bpsk":
         return 1.0 - 2.0 * bits.astype(float)
-    if modulation == "ook":
-        return OOK_AMPLITUDE * bits.astype(float)
-    raise ValueError(f"modulation must be one of {MODULATIONS}")
+    return OOK_AMPLITUDE * bits.astype(float)
 
 
 def llr_from_awgn(received, params):

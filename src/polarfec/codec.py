@@ -58,12 +58,18 @@ def _llr_frame(channel_llrs, spec):
 
 
 def _as_bits(bits):
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit vector must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    # Checked before the cast, which would truncate 0.6 to 0 and wrap 257 to 1.
+    # Integer entries are all 0 or 1 exactly when their bitwise OR is.
+    if arr.dtype.kind in "biu":
+        binary = 0 <= np.bitwise_or.reduce(arr) <= 1
+    else:
+        binary = ((arr == 0) | (arr == 1)).all()
+    if not binary:
         raise ValueError("bit vector entries must be 0 or 1")
-    return arr
+    return np.asarray(arr, dtype=np.uint8)
 
 
 def encode_nonsystematic(u_full, return_xor_count=False):

@@ -136,12 +136,14 @@ class RsDecodeResult:
 
 def _check_symbol_rows(rows, expected_len, one_word=False):
     """The rows as an array, checked for row length, for being a single row
-    when one_word is set, and, before any cast, to lie in [0, 15]."""
+    when one_word is set, and, before any cast, to be integers in [0, 15]."""
     arr = np.asarray(rows)
     if arr.ndim < 1 or arr.shape[-1] != expected_len or (one_word and arr.ndim != 1):
         raise ValueError(f"expected {expected_len} symbols per row, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() > 15):
-        raise ValueError("symbols must lie in [0, 15]")
+    if arr.size and not (
+        0 <= arr.min() and arr.max() <= 15 and (arr.dtype.kind != "f" or not (arr % 1).any())
+    ):
+        raise ValueError("symbols must lie in [0, 15] and be integers")
     return arr
 
 

@@ -41,9 +41,15 @@ class NoCrossingError(Exception):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One BER/FER sweep: code, decoder, Eb/N0 grid and stopping rules."""
+    """One BER/FER sweep: code, decoder, Eb/N0 grid and stopping rules.
 
-    code: object = None  # CodeSpec, (N, K) tuple, or None for rs15_11
+    Every input is checked, and the code resolved, when the config is built,
+    so a bad config raises here rather than inside a pool worker.
+    """
+
+    # Given as a CodeSpec, an (N, K) tuple (constructed here), or None; held
+    # as the CodeSpec for polar decoders and None for rs15_11.
+    code: object = None
     decoder: str = "soft_minsum"
     ebn0_start: float = 0.0
     ebn0_stop: float = 8.0
@@ -57,35 +63,30 @@ class SweepConfig:
     def __post_init__(self):
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
+        if not all(map(math.isfinite, (self.ebn0_start, self.ebn0_stop, self.ebn0_step))):
+            raise ValueError("Eb/N0 start, stop and step must be finite")
         if self.ebn0_step <= 0:
             raise ValueError("ebn0_step must be positive")
         if self.ebn0_stop < self.ebn0_start:
             raise ValueError("ebn0_stop must be >= ebn0_start")
         if self.max_frames < 1 or self.min_frame_errors < 1:
             raise ValueError("max_frames and min_frame_errors must be >= 1")
+        if self.decoder == "fixed":
+            QuantSpec(self.quant_bits, self.frac_bits)
+        if self.decoder == "rs15_11":
+            rs_shape = (reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS)
+            if self.code is not None and (isinstance(self.code, CodeSpec) or tuple(self.code) != rs_shape):
+                raise ValueError("rs15_11 requires code (15, 11) or none")
+            object.__setattr__(self, "code", None)
+        elif self.code is None:
+            raise ValueError(f"decoder {self.decoder} requires a code")
+        elif not isinstance(self.code, CodeSpec):
+            n, k = self.code
+            object.__setattr__(self, "code", bhattacharyya_construct(int(n), int(k)))
 
     def ebn0_points(self):
         count = int(math.floor((self.ebn0_stop - self.ebn0_start) / self.ebn0_step + 1e-9)) + 1
         return [self.ebn0_start + i * self.ebn0_step for i in range(count)]
-
-    def resolved_code(self):
-        """CodeSpec for polar decoders; None for the RS baseline."""
-        if self.decoder == "rs15_11":
-            if self.code is None:
-                return None
-            pair = tuple(self.code) if not isinstance(self.code, CodeSpec) else (
-                self.code.block_len,
-                self.code.info_len,
-            )
-            if pair != (reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS):
-                raise ValueError("rs15_11 requires code (15, 11) or none")
-            return None
-        if isinstance(self.code, CodeSpec):
-            return self.code
-        if self.code is None:
-            raise ValueError(f"decoder {self.decoder} requires a code")
-        n, k = self.code
-        return bhattacharyya_construct(int(n), int(k))
 
     def decoder_label(self):
         if self.decoder == "fixed":
@@ -93,10 +94,9 @@ class SweepConfig:
         return self.decoder
 
     def code_label(self):
-        spec = self.resolved_code()
-        if spec is None:
+        if self.code is None:
             return f"{reed_solomon.N_SYMBOLS},{reed_solomon.K_SYMBOLS}"
-        return f"{spec.block_len},{spec.info_len}"
+        return f"{self.code.block_len},{self.code.info_len}"
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,14 @@ class SweepPoint:
         return self.frame_errors < MIN_CONFIDENT_ERRORS
 
 
-def _block_draws(point_seed, block, payload_bits, channel_bits, sigma):
-    """Stream block `block` of a point: STREAM_FRAMES messages, then their
-    channel noise, from Generator(Philox(key=[point_seed, block]))."""
+def _block_draws(point_seed, block, payload_bits, channel_bits, sigma, rows=STREAM_FRAMES):
+    """Stream block `block` of a point: STREAM_FRAMES messages, then the
+    channel noise of its first `rows` frames, from
+    Generator(Philox(key=[point_seed, block])).  The noise comes out row by
+    row, so fewer rows are a prefix of the whole block's noise."""
     gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
     messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
-    return messages, gen.normal(0.0, sigma, size=(STREAM_FRAMES, channel_bits))
+    return messages, gen.normal(0.0, sigma, size=(rows, channel_bits))
 
 
 def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
@@ -141,23 +143,25 @@ def point_seed_for(master_seed, point_index):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _frame_shape(config, spec):
-    if config.decoder == "rs15_11":
+def _frame_shape(config):
+    if config.code is None:
         payload = reed_solomon.K_SYMBOLS * reed_solomon.BITS_PER_SYMBOL
         chan = reed_solomon.N_SYMBOLS * reed_solomon.BITS_PER_SYMBOL
-        rate = payload / chan
     else:
-        payload = spec.info_len
-        chan = spec.block_len
-        rate = spec.info_len / spec.block_len
-    return payload, chan, rate
+        payload, chan = config.code.info_len, config.code.block_len
+    return payload, chan, payload / chan
 
 
 def _simulate_chunk(args):
-    """Simulate frames [start, start+count) of one point; returns per-frame
-    bit-error counts and frame-error flags."""
-    config, spec, shape, point_seed, start, count, params = args
-    payload_bits, channel_bits, _ = shape
+    """Simulate frames [start, start+count) of one point.
+
+    args is (config, point_seed, start, count, params), with params the
+    point's ChannelParams.  Each stream block the chunk touches is drawn up
+    to the last noise row it uses.  Returns per-frame bit-error counts and
+    frame-error flags.
+    """
+    config, point_seed, start, count, params = args
+    payload_bits, channel_bits, _ = _frame_shape(config)
     messages = np.empty((count, payload_bits), dtype=np.uint8)
     noise = np.empty((count, channel_bits))
     stop = start + count
@@ -165,7 +169,7 @@ def _simulate_chunk(args):
         first = block * STREAM_FRAMES
         lo, hi = max(start, first), min(stop, first + STREAM_FRAMES)
         block_messages, block_noise = _block_draws(
-            point_seed, block, payload_bits, channel_bits, params.noise_sigma
+            point_seed, block, payload_bits, channel_bits, params.noise_sigma, hi - first
         )
         messages[lo - start:hi - start] = block_messages[lo - first:hi - first]
         noise[lo - start:hi - start] = block_noise[lo - first:hi - first]
@@ -173,14 +177,15 @@ def _simulate_chunk(args):
     if config.decoder == "rs15_11":
         decoded = _run_rs_frames(messages, noise, params)
     else:
-        decoded = _run_polar_frames(config, spec, messages, noise, params)
+        decoded = _run_polar_frames(config, messages, noise, params)
     wrong = decoded != messages
     return wrong.sum(axis=1).astype(np.int64), wrong.any(axis=1)
 
 
-def _run_polar_frames(config, spec, messages, noise, params):
+def _run_polar_frames(config, messages, noise, params):
+    spec = config.code
     codewords = batch.encode_systematic_rows(messages, spec)
-    received = channel.modulate(codewords) + noise
+    received = channel.modulate(codewords, params) + noise
     if config.decoder == "hard":
         llrs = batch.hard_llr_rows(channel.hard_slice(received, params))
         u_hat = batch.decode_minsum_rows(llrs, spec)
@@ -202,7 +207,7 @@ def _run_rs_frames(messages, noise, params):
     info_symbols = reed_solomon.bits_to_symbols(messages)
     codewords = reed_solomon.rs_encode_rows(info_symbols)
     code_bits = reed_solomon.symbols_to_bits(codewords)
-    received = channel.modulate(code_bits) + noise
+    received = channel.modulate(code_bits, params) + noise
     received_symbols = reed_solomon.bits_to_symbols(channel.hard_slice(received, params))
     decoded_symbols, _ = reed_solomon.rs_decode_rows(received_symbols)
     return reed_solomon.symbols_to_bits(decoded_symbols)
@@ -231,13 +236,12 @@ def run_sweep(config, workers=1):
     are reduced in index order with the stop rule evaluated on the exact
     per-frame error sequence.  Each point's chunks start at one block and
     double up to CHUNK_FRAMES.  With workers > 1 the whole sweep shares one
-    process pool of min(workers, chunks per point) processes.
+    process pool of min(workers, chunks per point) processes.  config was
+    checked, and its code resolved, when it was built.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    spec = config.resolved_code()
-    shape = _frame_shape(config, spec)
-    payload_bits, _, rate = shape
+    payload_bits, _, rate = _frame_shape(config)
     max_frames = config.max_frames
     ramp, steady = _chunk_starts(max_frames)
     pool_size = min(workers, len(ramp) + len(steady))
@@ -247,7 +251,7 @@ def run_sweep(config, workers=1):
             params = channel.ChannelParams(ebn0, rate)
             pseed = point_seed_for(config.master_seed, point_index)
             chunks = (
-                (config, spec, shape, pseed, start, stop - start, params)
+                (config, pseed, start, stop - start, params)
                 for start, stop in pairwise(chain(ramp, steady, [max_frames]))
             )
             # Passed inline, the results iterator is dropped, and its queued

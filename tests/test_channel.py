@@ -29,23 +29,35 @@ class TestChannelParams:
             ChannelParams(0.0, 0.0)
 
 
+BPSK = ChannelParams(3.0, 0.5)
+OOK = ChannelParams(3.0, 0.5, "ook")
+
+
 class TestModulate:
     def test_bpsk_mapping(self):
-        assert np.array_equal(modulate([0, 1, 0], "bpsk"), [1.0, -1.0, 1.0])
+        assert np.array_equal(modulate([0, 1, 0], BPSK), [1.0, -1.0, 1.0])
 
     def test_ook_zeros(self):
-        assert np.array_equal(modulate([0, 0, 0], "ook"), [0.0, 0.0, 0.0])
+        assert np.array_equal(modulate([0, 0, 0], OOK), [0.0, 0.0, 0.0])
 
     def test_ook_amplitude(self):
-        assert np.array_equal(modulate([1], "ook"), [OOK_AMPLITUDE])
+        assert np.array_equal(modulate([1], OOK), [OOK_AMPLITUDE])
         assert OOK_AMPLITUDE == pytest.approx(math.sqrt(2.0))
 
     def test_equal_mean_energy(self, rng):
         bits = rng.integers(0, 2, 10**6)
-        e_bpsk = np.mean(modulate(bits, "bpsk") ** 2)
-        e_ook = np.mean(modulate(bits, "ook") ** 2)
+        e_bpsk = np.mean(modulate(bits, BPSK) ** 2)
+        e_ook = np.mean(modulate(bits, OOK) ** 2)
         assert e_bpsk == pytest.approx(1.0)
         assert e_ook == pytest.approx(1.0, rel=3e-3)
+
+    @pytest.mark.parametrize("params", [BPSK, OOK], ids=["bpsk", "ook"])
+    def test_round_trip_follows_params(self, params):
+        # one ChannelParams picks the modulation for every channel step
+        symbols = modulate([0, 1], params)
+        zero, one = llr_from_awgn(symbols, params)
+        assert zero > 0 > one
+        assert np.array_equal(hard_slice(symbols, params), [0, 1])
 
 
 class TestLlr:
@@ -70,7 +82,7 @@ class TestLlr:
         # P(bit=0 | LLR in a small bin) should track sigmoid(LLR)
         params = ChannelParams(2.0, 0.5)
         bits = rng.integers(0, 2, 10**6)
-        received = modulate(bits, "bpsk") + rng.normal(0, params.noise_sigma, 10**6)
+        received = modulate(bits, params) + rng.normal(0, params.noise_sigma, 10**6)
         llrs = llr_from_awgn(received, params)
         edges = np.arange(-4.0, 4.5, 0.5)
         for lo, hi in zip(edges, edges[1:]):
@@ -98,7 +110,7 @@ class TestHardSlice:
     def test_crossover_matches_q_function(self, rng):
         params = ChannelParams(4.0, 11 / 16)
         bits = rng.integers(0, 2, 10**6)
-        received = modulate(bits, "bpsk") + rng.normal(0, params.noise_sigma, 10**6)
+        received = modulate(bits, params) + rng.normal(0, params.noise_sigma, 10**6)
         sliced = hard_slice(received, params)
         p_hat = np.mean(sliced != bits)
         p_theory = oracles.q_function(1.0 / params.noise_sigma)

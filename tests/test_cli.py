@@ -226,6 +226,14 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--code", "16,11", "--ebn0", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0:1:inf", "0:inf:1", "nan:1:1"])
+    def test_non_finite_ebn0_grid(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "sweep", "--code", "16,11", "--ebn0", grid, "--max-frames", "10",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: Eb/N0 start, stop and step must be finite\n"
+
     def test_quant_bits_beyond_int32_grid(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--code", "16,11", "--decoder", "fixed", "--quant-bits", "32",

@@ -107,6 +107,18 @@ class TestEncodeSystematic:
         with pytest.raises(ValueError):
             encode_systematic(np.zeros(10, dtype=np.uint8), spec16_11)
 
+    @pytest.mark.parametrize("bad", [0.6, 1.5, -1, 2, 257, float("nan")])
+    def test_rejects_non_binary_values(self, spec16_11, bad):
+        # a cast to uint8 would truncate 0.6 to 0 and encode the all-zero codeword
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            encode_systematic([bad] * 11, spec16_11)
+
+    def test_accepts_whole_float_bits(self, spec16_11):
+        bits = [1, 0] * 5 + [1]
+        assert np.array_equal(
+            encode_systematic(np.array(bits, dtype=float), spec16_11), encode_systematic(bits, spec16_11)
+        )
+
 
 class TestPeFunctions:
     def test_f_exact_erasure_absorbs(self):

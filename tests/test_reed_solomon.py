@@ -100,6 +100,20 @@ class TestEncode:
         with pytest.raises(ValueError, match=r"symbols must lie in \[0, 15\]"):
             scalar([0] * (length - 1) + [-1])
 
+    def test_encode_rejects_non_integer_symbols(self):
+        # a cast would truncate 1.7 and encode eleven 1s
+        with pytest.raises(ValueError, match="integers"):
+            rs_encode([1.7] * 11)
+        assert rs_encode([3.0] * 11) == rs_encode([3] * 11)
+
+    def test_decode_rejects_non_integer_symbols(self):
+        # a cast would decode 2.9 as 2s with failure=False
+        for bad in (2.9, float("nan")):
+            with pytest.raises(ValueError, match="integers"):
+                rs_decode([bad] * 15)
+        with pytest.raises(ValueError, match="integers"):
+            rs_decode_rows([[2.9] * 15])
+
 
 class TestDecode:
     def test_error_free_identity(self, rng):

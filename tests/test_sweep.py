@@ -33,6 +33,14 @@ class TestFrameStreams:
             assert np.array_equal(message, bits)
             assert np.array_equal(frame_noise, noise)
 
+    def test_partial_block_noise_is_a_prefix(self):
+        # a chunk that ends inside a block draws its noise only that far
+        messages, noise = sweep_module._block_draws(2718, 3, 11, 16, 0.7)
+        for rows in (1, 17, 255):
+            part_messages, part_noise = sweep_module._block_draws(2718, 3, 11, 16, 0.7, rows)
+            assert np.array_equal(part_messages, messages)
+            assert np.array_equal(part_noise, noise[:rows])
+
     def test_frame_draws_reproducible(self):
         a = frame_draws(7, 99, 11, 16, 0.5)
         b = frame_draws(7, 99, 11, 16, 0.5)
@@ -49,9 +57,8 @@ class TestFrameStreams:
         config = small_config(code=spec16_11)
         seed = point_seed_for(config.master_seed, 0)
         params = ChannelParams(2.0, 11 / 16)
-        shape = (11, 16, 11 / 16)
-        bits_bulk, flags_bulk = _simulate_chunk((config, spec16_11, shape, seed, 0, 2048, params))
-        bits_one, flags_one = _simulate_chunk((config, spec16_11, shape, seed, 1000, 1, params))
+        bits_bulk, flags_bulk = _simulate_chunk((config, seed, 0, 2048, params))
+        bits_one, flags_one = _simulate_chunk((config, seed, 1000, 1, params))
         assert bits_one[0] == bits_bulk[1000]
         assert flags_one[0] == flags_bulk[1000]
 
@@ -66,18 +73,50 @@ class TestConfig:
         assert config.ebn0_points() == [3.0]
 
     def test_rs_with_polar_code_rejected(self, spec16_11):
-        with pytest.raises(ValueError):
-            SweepConfig(code=spec16_11, decoder="rs15_11").resolved_code()
-        with pytest.raises(ValueError):
-            SweepConfig(code=(16, 11), decoder="rs15_11").resolved_code()
+        with pytest.raises(ValueError, match="rs15_11"):
+            SweepConfig(code=spec16_11, decoder="rs15_11")
+        with pytest.raises(ValueError, match="rs15_11"):
+            SweepConfig(code=(16, 11), decoder="rs15_11")
 
     def test_rs_accepts_its_shape(self):
-        assert SweepConfig(code=(15, 11), decoder="rs15_11").resolved_code() is None
-        assert SweepConfig(code=None, decoder="rs15_11").resolved_code() is None
+        assert SweepConfig(code=(15, 11), decoder="rs15_11").code is None
+        assert SweepConfig(code=None, decoder="rs15_11").code is None
 
     def test_polar_requires_code(self):
-        with pytest.raises(ValueError):
-            SweepConfig(code=None, decoder="soft_minsum").resolved_code()
+        with pytest.raises(ValueError, match="requires a code"):
+            SweepConfig(code=None, decoder="soft_minsum")
+
+    def test_tuple_code_resolved_once(self, monkeypatch, spec16_11):
+        calls = []
+
+        def construct(n, k):
+            calls.append((n, k))
+            return spec16_11
+
+        monkeypatch.setattr(sweep_module, "bhattacharyya_construct", construct)
+        config = small_config(max_frames=10)
+        assert config.code is spec16_11
+        run_sweep(config)
+        assert config.code_label() == config.code_label() == "16,11"
+        assert calls == [(16, 11)]
+
+    @pytest.mark.parametrize("grid", [
+        dict(ebn0_step=float("inf")),
+        dict(ebn0_stop=float("inf")),
+        dict(ebn0_start=float("nan")),
+        dict(ebn0_start=float("-inf")),
+        dict(ebn0_step=float("nan")),
+    ], ids=["step_inf", "stop_inf", "start_nan", "start_neg_inf", "step_nan"])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig(code=(16, 11), **grid)
+
+    @pytest.mark.parametrize("quant_bits, frac_bits", [(40, 1), (2, 1), (5, 5)])
+    def test_bad_fixed_format_rejected(self, quant_bits, frac_bits):
+        with pytest.raises(ValueError, match="bits"):
+            SweepConfig(code=(16, 11), decoder="fixed", quant_bits=quant_bits, frac_bits=frac_bits)
+        # other decoders ignore the quantizer fields
+        SweepConfig(code=(16, 11), decoder="soft_minsum", quant_bits=quant_bits, frac_bits=frac_bits)
 
     def test_labels(self):
         config = SweepConfig(code=(16, 11), decoder="fixed", quant_bits=4, frac_bits=2)
