@@ -3,95 +3,245 @@
 Each function processes a (frames, N) array with the identical arithmetic
 the scalar reference implementations use, so results are bit-for-bit equal;
 the test suite asserts that equivalence.  The SC traversal order is data
-independent, which is what makes whole batches decodable in lockstep.
+independent, which is what makes whole batches decodable in lockstep: one
+node plan per frozen set, run by one executor over frame-minor buffers.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+# Per little-endian 64-bit lane of bytes, the first `dist` bytes of every
+# 2*dist-byte group: the targets of a butterfly stage at distance dist.
+_LANE_MASKS = {1: 0x00FF00FF00FF00FF, 2: 0x0000FFFF0000FFFF, 4: 0x00000000FFFFFFFF}
+# Smallest array run on lanes: below it, the lane stages' extra ufunc calls
+# cost more than they save (a 1 x 8 transform is about 2x slower on lanes).
+_LANE_MIN_BYTES = 256
 
 
 def butterfly(x):
     """Polar transform of x in place along its last axis; returns XORs per row.
 
-    Each of the log2(N) stages performs N/2 XORs, counted as they run.
+    Each of the log2(N) stages performs N/2 XORs, counted as they run.  A
+    stage is one reshaped XOR over all rows.  Byte rows of a multiple of 8
+    bytes, in arrays of at least _LANE_MIN_BYTES, run on 64-bit lanes: a
+    stage below 8 bytes XORs each lane with its own masked shift, a wider
+    one XORs whole lanes.
     """
+    if not x.flags.c_contiguous:
+        rows = np.ascontiguousarray(x)
+        xors = butterfly(rows)
+        x[...] = rows
+        return xors
     n_bits = x.shape[-1]
+    rows = x.reshape(-1, n_bits)
     xors = 0
     dist = 1
+    if x.dtype == np.uint8 and n_bits % 8 == 0 and x.nbytes >= _LANE_MIN_BYTES:
+        rows = rows.view("<u8")
+        shifted = np.empty_like(rows)
+        for dist, mask in _LANE_MASKS.items():
+            np.right_shift(rows, 8 * dist, out=shifted)
+            np.bitwise_and(shifted, mask, out=shifted)
+            np.bitwise_xor(rows, shifted, out=rows)
+            xors += n_bits // 2
+        dist = 8
+    width = n_bits // rows.shape[1]  # elements of x per element of rows
     while dist < n_bits:
-        for j in range(0, n_bits, 2 * dist):
-            x[..., j : j + dist] ^= x[..., j + dist : j + 2 * dist]
-            xors += dist
+        pairs = rows.reshape(len(rows), -1, 2, dist // width)
+        pairs[:, :, 0] ^= pairs[:, :, 1]
+        xors += n_bits // 2
         dist *= 2
     return xors
 
 
 def transform_rows(bits):
     """Polar transform applied to every row of a (frames, N) bit array."""
-    x = np.array(bits, dtype=np.uint8, copy=True)
+    x = np.array(bits, dtype=np.uint8, order="C")
     butterfly(x)
     return x
 
 
 def encode_systematic_rows(messages, spec):
-    """Row-wise two-pass systematic encoding of a (frames, K) message array."""
+    """Row-wise two-pass systematic encoding of a (frames, K) message array.
+
+    The message is gathered onto info_set (np.take, several times faster
+    than a fancy-index scatter), and frozen positions are zeroed by an AND
+    with the info mask.
+    """
     messages = np.asarray(messages, dtype=np.uint8)
-    frames = messages.shape[0]
-    a = np.zeros((frames, spec.block_len), dtype=np.uint8)
-    a[:, list(spec.info_set)] = messages
-    t = transform_rows(a)
-    t[:, list(spec.frozen_set)] = 0
-    return transform_rows(t)
+    if messages.ndim != 2 or messages.shape[1] != spec.info_len:
+        raise ValueError(f"expected {spec.info_len} message bits per row, got shape {messages.shape}")
+    info_mask = ~spec.frozen_mask()
+    source = np.cumsum(info_mask) - 1  # message column of each info position
+    t = transform_rows(np.take(messages, np.maximum(source, 0), axis=1) & info_mask)
+    return transform_rows(t & info_mask)
 
 
-def _sc_rows(llrs, frozen_mask, f_rows, g_rows):
-    u_hat = np.zeros(llrs.shape, dtype=np.uint8)
-
-    def rec(v, base):
-        m = v.shape[1]
-        if m == 1:
-            if not frozen_mask[base]:
-                u_hat[:, base] = v[:, 0] < 0
-            return u_hat[:, base : base + 1].copy()
-        half = m // 2
-        a = v[:, :half]
-        b = v[:, half:]
-        left = rec(f_rows(a, b), base)
-        right = rec(g_rows(a, b, left), base + half)
-        return np.concatenate([left ^ right, right], axis=1)
-
-    rec(llrs, 0)
-    return u_hat
+def _llr_rows(llrs, spec):
+    """(frames, N) LLR rows, checked to be N wide and, unless integer, finite
+    floats; the row counterpart of codec._llr_frame, through which every
+    batch decoder takes its input."""
+    rows = np.asarray(llrs)
+    if rows.dtype.kind not in "iu":
+        rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != spec.block_len:
+        raise ValueError(f"expected {spec.block_len} LLRs per row, got shape {rows.shape}")
+    if rows.dtype.kind == "f" and not np.isfinite(rows).all():
+        raise ValueError("LLR must be finite")
+    return rows
 
 
-def _f_minsum_rows(a, b):
-    """sign(a*b) * min(|a|, |b|) in the operands' dtype; a zero counts as positive."""
-    mag = np.minimum(np.abs(a), np.abs(b))
-    return np.where((a < 0) != (b < 0), -mag, mag)
+def _transposed(x, dtype):
+    """x.T as a C-contiguous array of dtype, copied 256 source rows at a time
+    (a whole-array strided copy is several times slower at large N)."""
+    out = np.empty(x.shape[::-1], dtype)
+    for lo in range(0, len(x), 256):
+        out[:, lo : lo + 256] = x[lo : lo + 256].T
+    return out
 
 
-def _g_rows(a, b, bits):
-    return np.where(bits == 0, b + a, b - a)
+# Node plan operations.
+_F, _G, _G0, _LEAF, _MERGE = range(5)
+
+# Bytes per operand block of one F or G call, small enough that the
+# passes over a block stay in cache.
+_BLOCK_BYTES = 1 << 18
 
 
-def decode_minsum_rows(llrs, spec):
-    """Min-sum SC decode of every row; returns the (frames, N) u_hat array."""
-    llrs = np.asarray(llrs, dtype=float)
-    return _sc_rows(llrs, spec.frozen_mask(), _f_minsum_rows, _g_rows)
+@lru_cache(maxsize=16)
+def _node_plan(n_bits, frozen_set):
+    """Data-independent SC node plan: the tree walk as a flat operation list.
+
+    Walks depth-first (F, left subtree, G, right subtree, merge) and skips
+    every rate-0 subtree together with the F or G that would feed it: its
+    bits are 0 and its partial sums 0 whatever the LLRs.  An entry is (op,
+    stage, base) for the node of 2^stage bits at base.  _F and _G write the
+    child's LLRs to buffer stage-1; _G0 is a G whose left child is rate-0,
+    so its feedback is 0.  _LEAF decides bit base.  _MERGE XORs the right
+    child's partial sums into the left child's.
+    """
+    info_count = np.concatenate([[0], np.cumsum(~np.isin(np.arange(n_bits), frozen_set))])
+    plan = []
+
+    def rate0(base, size):
+        return info_count[base + size] == info_count[base]
+
+    def visit(stage, base):
+        if stage == 0:
+            plan.append((_LEAF, 0, base))
+            return
+        half = 1 << (stage - 1)
+        left0, right0 = rate0(base, half), rate0(base + half, half)
+        if not left0:
+            plan.append((_F, stage, base))
+            visit(stage - 1, base)
+        if not right0:
+            plan.append((_G0 if left0 else _G, stage, base))
+            visit(stage - 1, base + half)
+            plan.append((_MERGE, stage, base))
+
+    if not rate0(0, n_bits):
+        visit(n_bits.bit_length() - 1, 0)
+    return tuple(plan)
 
 
-def _f_exact_rows(a, b):
+def _sc_execute(rows, spec, dtype, f, g):
+    """The batch SC decoder: run spec's node plan over (frames, N) rows in
+    dtype; returns the (frames, N) u_hat.
+
+    The LLRs are held frame-minor: the transposed rows are the root's stage
+    buffer and stage s < n has one (2^s, frames) buffer, so the operands of
+    every F and G are two contiguous half-blocks, taken _BLOCK_BYTES at a
+    time.  f(a, b, out, scratch) and g(a, b, bits, out) write into out; g
+    gets bits None where the feedback is all zero.  Partial sums live in
+    one (N, frames) array indexed by bit position and are XORed in place.
+    """
+    plan = _node_plan(spec.block_len, spec.frozen_set)
+    llrs = _transposed(rows, dtype)
+    n_bits, frames = llrs.shape
+    block = 1 << max(0, (_BLOCK_BYTES // (llrs.itemsize * max(frames, 1))).bit_length() - 1)
+    buffers = [np.empty((1 << s, frames), dtype) for s in range(spec.stages)] + [llrs]
+    scratch = np.empty((min(block, n_bits), frames), dtype)
+    sums = np.zeros((n_bits, frames), dtype=np.uint8)
+    u_hat = np.zeros((n_bits, frames), dtype=np.uint8)
+    for op, stage, base in plan:
+        if op == _LEAF:
+            np.less(buffers[0][0], 0, out=u_hat[base])
+            sums[base] = u_hat[base]
+            continue
+        half = 1 << (stage - 1)
+        if op == _MERGE:
+            left = sums[base : base + half]
+            np.bitwise_xor(left, sums[base + half : base + 2 * half], out=left)
+            continue
+        v, out = buffers[stage], buffers[stage - 1]
+        step = min(block, half)
+        for lo in range(0, half, step):
+            a, b = v[lo : lo + step], v[half + lo : half + lo + step]
+            if op == _F:
+                f(a, b, out[lo : lo + step], scratch[:step])
+            else:
+                bits = sums[base + lo : base + lo + step] if op == _G else None
+                g(a, b, bits, out[lo : lo + step])
+    return _transposed(u_hat, np.uint8)
+
+
+def _f_minsum(a, b, out, scratch):
+    """sign(a*b) * min(|a|, |b|) as max(min(a, b), -max(a, b)), exact in
+    every dtype.  A zero may come out as -0.0 where the scalar gives 0.0;
+    both compare and add as zero, so no decision differs."""
+    np.minimum(a, b, out=out)
+    np.negative(np.maximum(a, b, out=scratch), out=scratch)
+    np.maximum(out, scratch, out=out)
+
+
+def _g(a, b, bits, out):
+    """b + (-1)^bit * a, exact in every dtype (the factor is +1 or -1)."""
+    if bits is None:
+        np.add(b, a, out=out)
+        return
+    np.multiply(bits, -2, out=out, dtype=out.dtype)
+    np.add(out, 1, out=out)
+    np.multiply(out, a, out=out)
+    np.add(out, b, out=out)
+
+
+def _f_exact(a, b, out, scratch):
     def jac(x, y):
         return np.maximum(x, y) + np.log1p(np.exp(-np.abs(x - y)))
 
-    return jac(a + b, np.zeros_like(a)) - jac(a, b)
+    np.subtract(jac(a + b, 0.0), jac(a, b), out=out)
+
+
+def _int_dtype(bound):
+    """The narrower of int16 and int32 that holds +/-bound, else None."""
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return None
+
+
+def decode_minsum_rows(llrs, spec):
+    """Min-sum SC decode of every row; returns the (frames, N) u_hat array.
+
+    Integer LLRs, such as hard_llr_rows gives, decode on integers: every F
+    and G value is then an integer of magnitude at most N*max|LLR|, so
+    int16 or int32 holds it exactly and the decisions equal float64's.
+    Wider integers and floats decode in float64.
+    """
+    rows = _llr_rows(llrs, spec)
+    dtype = None
+    if rows.dtype.kind in "iu" and rows.size:
+        dtype = _int_dtype(spec.block_len * max(-int(rows.min()), int(rows.max())))
+    return _sc_execute(rows, spec, dtype or np.float64, _f_minsum, _g)
 
 
 def decode_exact_rows(llrs, spec):
     """Exact log-domain SC decode of every row."""
-    llrs = np.asarray(llrs, dtype=float)
-    return _sc_rows(llrs, spec.frozen_mask(), _f_exact_rows, _g_rows)
+    return _sc_execute(_llr_rows(llrs, spec), spec, np.float64, _f_exact, _g)
 
 
 def quantize_rows(llrs, qspec):
@@ -103,16 +253,21 @@ def quantize_rows(llrs, qspec):
 
 
 def decode_fixed_rows(llrs, spec, qspec):
-    """Fixed-point min-sum SC decode of every row on the Q-bit grid."""
-    raw = quantize_rows(np.asarray(llrs, dtype=float), qspec)
-    max_mag = np.int32(qspec.max_mag)
+    """Fixed-point min-sum SC decode of every row on the Q-bit grid.
 
-    def g_sat_rows(a, b, bits):
-        return np.clip(_g_rows(a, b, bits), -max_mag, max_mag)
+    A G sum of two grid values is at most 2*max_mag before its clamp, so
+    Q <= 15 decodes in int16 and wider grids in int32.
+    """
+    raw = quantize_rows(np.asarray(_llr_rows(llrs, spec), dtype=float), qspec)
+    max_mag = qspec.max_mag
 
-    return _sc_rows(raw, spec.frozen_mask(), _f_minsum_rows, g_sat_rows)
+    def g_sat(a, b, bits, out):
+        _g(a, b, bits, out)
+        np.clip(out, -max_mag, max_mag, out=out)
+
+    return _sc_execute(raw, spec, _int_dtype(2 * max_mag), _f_minsum, g_sat)
 
 
 def hard_llr_rows(bits):
-    """Map hard decisions to unit LLR rows, bit 0 -> +1.0 and bit 1 -> -1.0."""
-    return np.where(np.asarray(bits, dtype=np.uint8) == 0, 1.0, -1.0)
+    """Map hard decisions to unit integer LLR rows, bit 0 -> +1 and bit 1 -> -1."""
+    return np.where(np.asarray(bits) == 0, np.int8(1), np.int8(-1))

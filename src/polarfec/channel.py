@@ -35,6 +35,8 @@ class ChannelParams:
     modulation: str = "bpsk"
 
     def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"modulation must be one of {MODULATIONS}")
         if not (0 < self.code_rate <= 1):

@@ -205,7 +205,7 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
 def hard_decision_decode(received_bits, spec):
     """Decode hard channel decisions by mapping them onto unit LLRs.
 
-    Bit 0 maps to +1.0, bit 1 to -1.0, then the min-sum SC decoder runs
+    Bit 0 maps to +1, bit 1 to -1, then the min-sum SC decoder runs
     unchanged.  Every min-sum sum of unit inputs is an exact integer, so
     zero ties stay exact zeros.
     """

@@ -31,6 +31,9 @@ STREAM_FRAMES = 256
 # Largest scheduling chunk; any value gives the same counts.
 CHUNK_FRAMES = 4096
 
+# Most Eb/N0 points one sweep grid may hold.
+MAX_EBN0_POINTS = 10_000
+
 # Confidence floor: points with fewer frame errors are flagged, not trusted.
 MIN_CONFIDENT_ERRORS = 20
 
@@ -69,6 +72,9 @@ class SweepConfig:
             raise ValueError("ebn0_step must be positive")
         if self.ebn0_stop < self.ebn0_start:
             raise ValueError("ebn0_stop must be >= ebn0_start")
+        # Also rejects a grid whose step count overflows to inf, such as 0:1e308:1e-308.
+        if not self._grid_steps() < MAX_EBN0_POINTS:
+            raise ValueError(f"Eb/N0 grid must have at most {MAX_EBN0_POINTS} points")
         if self.max_frames < 1 or self.min_frame_errors < 1:
             raise ValueError("max_frames and min_frame_errors must be >= 1")
         if self.decoder == "fixed":
@@ -84,8 +90,11 @@ class SweepConfig:
             n, k = self.code
             object.__setattr__(self, "code", bhattacharyya_construct(int(n), int(k)))
 
+    def _grid_steps(self):
+        return (self.ebn0_stop - self.ebn0_start) / self.ebn0_step + 1e-9
+
     def ebn0_points(self):
-        count = int(math.floor((self.ebn0_stop - self.ebn0_start) / self.ebn0_step + 1e-9)) + 1
+        count = int(math.floor(self._grid_steps())) + 1
         return [self.ebn0_start + i * self.ebn0_step for i in range(count)]
 
     def decoder_label(self):
@@ -200,7 +209,7 @@ def _run_polar_frames(config, messages, noise, params):
                 llrs, spec, QuantSpec(config.quant_bits, config.frac_bits)
             )
     x_hat = batch.transform_rows(u_hat)
-    return x_hat[:, list(spec.info_set)]
+    return np.take(x_hat, spec.info_set, axis=1)
 
 
 def _run_rs_frames(messages, noise, params):

@@ -28,6 +28,12 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(0.0, 0.0)
 
+    @pytest.mark.parametrize("ebn0_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ebn0_rejected(self, ebn0_db):
+        # NaN gave sigma NaN, +inf sigma 0.0 (so LLRs divided by zero)
+        with pytest.raises(ValueError, match="ebn0_db must be finite"):
+            ChannelParams(ebn0_db, 0.5)
+
 
 BPSK = ChannelParams(3.0, 0.5)
 OOK = ChannelParams(3.0, 0.5, "ook")

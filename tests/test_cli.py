@@ -234,6 +234,14 @@ class TestSweepCommand:
         assert code == 1 and out == ""
         assert err == "error: Eb/N0 start, stop and step must be finite\n"
 
+    def test_oversized_ebn0_grid(self, capsys):
+        # the point count overflows a float: an OverflowError traceback before
+        code, out, err = run_cli(
+            capsys, "sweep", "--code", "16,11", "--ebn0", "0:1e308:1e-308", "--max-frames", "10",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: Eb/N0 grid must have at most 10000 points\n"
+
     def test_quant_bits_beyond_int32_grid(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--code", "16,11", "--decoder", "fixed", "--quant-bits", "32",

@@ -17,7 +17,7 @@ from polarfec import (
     run_sweep,
 )
 from polarfec import sweep as sweep_module
-from polarfec.sweep import STREAM_FRAMES, frame_draws, point_seed_for
+from polarfec.sweep import MAX_EBN0_POINTS, STREAM_FRAMES, frame_draws, point_seed_for
 
 
 class TestFrameStreams:
@@ -110,6 +110,19 @@ class TestConfig:
     def test_non_finite_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="finite"):
             SweepConfig(code=(16, 11), **grid)
+
+    @pytest.mark.parametrize("grid", [
+        dict(ebn0_stop=1e308, ebn0_step=1e-308),
+        dict(ebn0_stop=10_000.0),
+        dict(ebn0_stop=1.0, ebn0_step=1e-6),
+    ], ids=["count_overflows", "one_too_many", "million"])
+    def test_oversized_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match=f"at most {MAX_EBN0_POINTS} points"):
+            SweepConfig(code=(16, 11), ebn0_start=0.0, **grid)
+
+    def test_largest_grid_accepted(self):
+        config = SweepConfig(code=(16, 11), ebn0_start=0.0, ebn0_stop=MAX_EBN0_POINTS - 1.0)
+        assert len(config.ebn0_points()) == MAX_EBN0_POINTS
 
     @pytest.mark.parametrize("quant_bits, frac_bits", [(40, 1), (2, 1), (5, 5)])
     def test_bad_fixed_format_rejected(self, quant_bits, frac_bits):
