@@ -315,7 +315,7 @@ class RecordingPool:
 
     opened = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.opened.append(max_workers)
 
     def __enter__(self):
@@ -331,6 +331,25 @@ class RecordingPool:
 
 
 class TestSweepDriver:
+    def test_init_worker_sets_heap_options_where_libc_has_mallopt(self, monkeypatch):
+        calls = []
+
+        class Mallopt:  # stands in for the ctypes function, argtypes and all
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        class Libc:
+            mallopt = Mallopt()
+
+        monkeypatch.setattr(sweep_module.ctypes, "CDLL", lambda name: Libc())
+        sweep_module._init_worker()
+        assert calls == list(sweep_module._WORKER_MALLOPTS)
+        # a C library without mallopt leaves the worker as it is
+        monkeypatch.setattr(sweep_module.ctypes, "CDLL", lambda name: object())
+        sweep_module._init_worker()
+        assert len(calls) == 2
+
     @pytest.fixture()
     def pools(self, monkeypatch):
         monkeypatch.setattr(RecordingPool, "opened", [])
