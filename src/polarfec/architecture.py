@@ -12,11 +12,13 @@ Three hardware scheduling strategies for the same processing-element tree
   every clock decides one bit pair: N/2 clocks.
 
 Each design is a data-independent clock plan: the same SC node operations
-(F or G at a stage on a node), grouped into clocks.  One executor runs any
-plan.  The model is transaction level: combinational depth inside a clock is
-represented by activation ordering, not timing.  Traces are executed
-functionally with min-sum arithmetic and must decode bit-identically to the
-reference decoder; the schedules reorder computation, never change it.
+(F or G at a stage on a node), grouped into clocks, with every activation
+prebuilt.  One executor runs any plan with two operations, F and G, feeding
+every G from running partial sums that each decision updates.  The model is
+transaction level: combinational depth inside a clock is represented by
+activation ordering, not timing.  Traces are executed functionally with
+min-sum arithmetic and must decode bit-identically to the reference decoder;
+the schedules reorder computation, never change it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+# encode_nonsystematic is unused, but the benchmark tracer looks it up here.
 from .codec import _llr_frame, encode_nonsystematic, f_minsum, g_func
 from .construction import is_power_of_two
 
@@ -57,15 +60,13 @@ def schedule_label(n_bits, arch):
     """First-bit-pair schedule signature, one parenthesized group per clock.
 
     Renders the clock plan up to and including the first clock holding a
-    stage-0 G or FG, the merged FG shown as F-G: "(F)-(F)-(F)-(F)-(G)" for
-    conventional at N = 16.
+    stage-0 G: "(F)-(F)-(F)-(F)-(G)" for conventional at N = 16.
     """
     latency_clocks(n_bits, arch)  # validates n_bits and arch
     groups = []
     for steps in _clock_plan(n_bits.bit_length() - 1, arch):
-        functions = [function for function, _, _, _ in steps]
-        groups.append("(" + "-".join(functions).replace("FG", "F-G") + ")")
-        if any(stage == 0 and function != "F" for function, stage, _, _ in steps):
+        groups.append("(" + "-".join(function for function, _, _, _ in steps) + ")")
+        if any(stage == 0 and function == "G" for function, stage, _, _ in steps):
             return "-".join(groups)
 
 
@@ -138,32 +139,38 @@ def _clock_plan(stages, arch):
     """Data-independent clock plan: the SC node operations grouped into clocks.
 
     Walks the SC tree depth-first (F, left subtree, G, right subtree).  A
-    node operation is (function, stage, node_base, fixed): fixed holds the
-    prebuilt activations of an F, whose fields do not depend on the data,
-    and the operand index pairs of a G or FG.  conventional gives every F
-    and G visit its own clock; two_bit_sc merges a size-2 node's F and G
-    into one FG clock; proposed gives each size-2 node one clock holding its
-    root-to-node F/G path plus the FG.
+    node operation is (function, stage, node_base, fixed), function "F" or
+    "G": fixed holds the prebuilt activations of an F, and of a G one
+    (feedback 0, feedback 1) activation pair per PE.  conventional gives
+    every F and G visit its own clock; two_bit_sc gives a size-2 node one
+    clock for the merged PE; proposed gives each size-2 node one clock
+    holding its root-to-node F/G path plus the merged PE.  The merged PE
+    runs as a stage-0 F with no activation of its own, then a stage-0 G
+    whose activation is the FG one.
     """
     clocks = []
 
     def emit(path):
         clock = len(clocks)
         steps = []
-        for function, stage, base in path:
+        for function, stage, base, label in path:
             half = 1 << stage
-            operands = tuple((j, j + half) for j in range(half))
+            pes = [(j, j + half) for j in range(half)] if label else []
             if function == "F":
-                operands = tuple(PeActivation(clock, stage, "F", ab, 0, None, base) for ab in operands)
-            steps.append((function, stage, base, operands))
+                fixed = tuple(PeActivation(clock, stage, label, ab, 0, None, base) for ab in pes)
+            else:
+                fixed = tuple(
+                    tuple(PeActivation(clock, stage, label, ab, 1, bit, base) for bit in (0, 1)) for ab in pes
+                )
+            steps.append((function, stage, base, fixed))
         clocks.append(tuple(steps))
 
     def walk(stage, base, path):
         if stage == 0 and arch != "conventional":
-            emit(path + (("FG", 0, base),))
+            emit(path + (("F", 0, base, None), ("G", 0, base, "FG")))
             return
         for function, child_base in (("F", base), ("G", base + (1 << stage))):
-            op = (function, stage, base)
+            op = (function, stage, base, function)
             if arch == "proposed":
                 walk(stage - 1, child_base, path + (op,))
             else:
@@ -180,21 +187,16 @@ def _execute(plan, llrs, frozen):
 
     An operation at stage s reads its node's 2^(s+1) LLRs from buffer s + 1
     and writes its child's 2^s LLRs to buffer s; at stage 0 that child is a
-    leaf and its bit is decided.  A G takes as feedback the partial sums of
-    its node's decided left block.  Returns (activations, decoded_pairs).
+    leaf and its bit is decided.  Each decision sets its bit in the running
+    partial sums and XOR-merges the halves of every aligned block it
+    completes, so a G's feedback is sums[base : base + half], the transform
+    of its node's decided left block.  Returns (activations, decoded_pairs).
     """
     buffers = [None] * (len(llrs).bit_length() - 1) + [llrs]
-    u_hat = [0] * len(llrs)
+    sums = [0] * len(llrs)
     activations = []
     pairs = []
-
-    def decide(llr_value, index):
-        bit = 1 if llr_value < 0 and not frozen[index] else 0
-        u_hat[index] = bit
-        pairs[-1].append((index, bit))
-        return bit
-
-    for clock, steps in enumerate(plan):
+    for steps in plan:
         pairs.append([])
         for function, stage, base, fixed in steps:
             v = buffers[stage + 1]
@@ -202,24 +204,22 @@ def _execute(plan, llrs, frozen):
             if function == "F":
                 out = [f_minsum(v[j], v[j + half]) for j in range(half)]
                 activations += fixed
-                if not stage:
-                    decide(out[0], base)
-            elif function == "G":
-                left = u_hat[base : base + half]
-                if half > 1:
-                    left = encode_nonsystematic(left).tolist()
-                out = [g_func(v[j], v[j + half], left[j]) for j in range(half)]
-                activations += [
-                    PeActivation(clock, stage, "G", ab, 1, bit, base) for ab, bit in zip(fixed, left)
-                ]
-                if not stage:
-                    decide(out[0], base + 1)
-            else:  # the modified last-stage PE: its G consumes the same-clock F decision
-                bit0 = decide(f_minsum(v[0], v[1]), base)
-                decide(g_func(v[0], v[1], bit0), base + 1)
-                activations.append(PeActivation(clock, 0, "FG", fixed[0], 1, bit0, base))
-                continue
+            else:
+                bits = sums[base : base + half]
+                out = [g_func(v[j], v[j + half], bit) for j, bit in enumerate(bits)]
+                activations += [pair[bit] for pair, bit in zip(fixed, bits)]
             buffers[stage] = out
+            if stage:
+                continue
+            index = base if function == "F" else base + 1
+            bit = 1 if out[0] < 0 and not frozen[index] else 0
+            pairs[-1].append((index, bit))
+            sums[index] = bit
+            size = 1
+            while index & size:  # merge the aligned block of 2 * size bits that index completes
+                left = slice(index + 1 - 2 * size, index + 1 - size)
+                sums[left] = [a ^ b for a, b in zip(sums[left], sums[index + 1 - size : index + 1])]
+                size *= 2
     return activations, pairs
 
 

@@ -9,6 +9,7 @@ modulations are normalized to unit average symbol energy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,9 @@ class ChannelParams:
     modulate, llr_from_awgn and hard_slice all follow.
 
     noise_sigma is derived as sigma^2 = 1 / (2 * R * 10^(ebn0_db/10)); with
-    unit-energy symbols this holds for either modulation.
+    unit-energy symbols this holds for either modulation.  An Eb/N0 whose
+    sigma^2 is not a normal float (above about 3080 dB or below about
+    -3080 dB) is rejected, since its LLRs would divide by zero or overflow.
     """
 
     ebn0_db: float
@@ -41,6 +44,12 @@ class ChannelParams:
             raise ValueError(f"modulation must be one of {MODULATIONS}")
         if not (0 < self.code_rate <= 1):
             raise ValueError(f"code_rate must be in (0, 1], got {self.code_rate}")
+        try:
+            sigma = self.noise_sigma
+        except (OverflowError, ZeroDivisionError):  # 10^(ebn0_db/10) overflows or underflows to 0
+            sigma = math.nan
+        if not sys.float_info.min <= sigma * sigma <= sys.float_info.max:
+            raise ValueError(f"Eb/N0 {self.ebn0_db} dB gives noise sigma^2 outside the normal float range")
 
     @property
     def noise_sigma(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -83,6 +84,8 @@ class SweepConfig:
             raise ValueError(f"Eb/N0 grid must have at most {MAX_EBN0_POINTS} points")
         if self.max_frames < 1 or self.min_frame_errors < 1:
             raise ValueError("max_frames and min_frame_errors must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.decoder == "fixed":
             QuantSpec(self.quant_bits, self.frac_bits)
         if self.decoder == "rs15_11":
@@ -95,6 +98,10 @@ class SweepConfig:
         elif not isinstance(self.code, CodeSpec):
             n, k = self.code
             object.__setattr__(self, "code", bhattacharyya_construct(int(n), int(k)))
+        # Sigma falls as Eb/N0 rises, so the grid's ends bound every point's.
+        points = self.ebn0_points()
+        for ebn0 in (points[0], points[-1]):
+            channel.ChannelParams(ebn0, _frame_shape(self)[2])
 
     def _grid_steps(self):
         return (self.ebn0_stop - self.ebn0_start) / self.ebn0_step + 1e-9
@@ -270,16 +277,16 @@ def run_sweep(config, workers=1):
     are reduced in index order with the stop rule evaluated on the exact
     per-frame error sequence.  Each point's chunks start at one block and
     double up to CHUNK_FRAMES.  With workers > 1 the whole sweep shares one
-    process pool of min(workers, chunks per point) processes, each set up
-    by _init_worker.  config was checked, and its code resolved, when it was
-    built.
+    process pool of min(workers, chunks per point, CPU count) processes,
+    each set up by _init_worker.  config was checked, and its code
+    resolved, when it was built.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     payload_bits, _, rate = _frame_shape(config)
     max_frames = config.max_frames
     ramp, steady = _chunk_starts(max_frames)
-    pool_size = min(workers, len(ramp) + len(steady))
+    pool_size = min(workers, len(ramp) + len(steady), os.cpu_count() or 1)
     points = []
     executor = ProcessPoolExecutor(pool_size, initializer=_init_worker) if pool_size > 1 else nullcontext()
     with executor as pool:

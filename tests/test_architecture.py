@@ -7,6 +7,7 @@ from polarfec import (
     ARCH_KINDS,
     bhattacharyya_construct,
     build_schedule,
+    encode_nonsystematic,
     f_minsum,
     format_trace,
     g_func,
@@ -73,6 +74,15 @@ TRACE_SHA256 = {
 }
 
 
+# PE activations per decode: every stage of N/2 node pairs runs N operations
+# when staged, the merged last stage N/2, and proposed runs N - 1 per clock.
+ACTIVATION_COUNTS = {
+    "conventional": lambda n, stages: n * stages,
+    "two_bit_sc": lambda n, stages: n * (stages - 1) + n // 2,
+    "proposed": lambda n, stages: n // 2 * (n - 1),
+}
+
+
 class TestSchedules:
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_total_clocks_match_formula(self, arch):
@@ -82,6 +92,7 @@ class TestSchedules:
             trace = build_schedule(spec, arch, llrs)
             assert trace.total_clocks == latency_clocks(n_bits, arch)
             assert trace.total_clocks == 1 + max(a.clock for a in trace.activations)
+            assert len(trace.activations) == ACTIVATION_COUNTS[arch](n_bits, spec.stages)
 
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_cosimulation_matches_golden(self, arch, spec16_11, noisy_frames):
@@ -128,14 +139,26 @@ class TestSchedules:
         assert sizes.count(2) == 8 and sizes.count(0) == 14
 
     @pytest.mark.parametrize("arch", ARCH_KINDS)
-    def test_sel_and_feedback_invariants(self, arch, spec16_11, noisy_frames):
-        trace = build_schedule(spec16_11, arch, noisy_frames[0])
-        for act in trace.activations:
-            assert (act.function == "F") == (act.sel == 0)
-            if act.function in ("G", "FG"):
-                assert act.partial_sum_feedback in (0, 1)
-            a, b = act.operand_indices
-            assert b - a == 1 << act.stage
+    def test_sel_and_feedback_invariants(self, arch):
+        # every G and FG feedback is the transform of its node's decided left
+        # block, recomputed here from the reference decode
+        for n_bits in (4, 8, 16, 32, 128):
+            spec = bhattacharyya_construct(n_bits, max(1, 3 * n_bits // 4))
+            for llrs in trace_frames(n_bits):
+                u_hat = sc_decode(llrs, spec, "minsum").u_hat
+                feedback = {}
+                for act in build_schedule(spec, arch, llrs).activations:
+                    assert (act.function == "F") == (act.sel == 0)
+                    a, b = act.operand_indices
+                    assert b - a == 1 << act.stage
+                    if act.function == "F":
+                        assert act.partial_sum_feedback is None
+                        continue
+                    left = (act.node_base, act.stage)
+                    if left not in feedback:
+                        block = u_hat[act.node_base : act.node_base + (1 << act.stage)]
+                        feedback[left] = encode_nonsystematic(block)
+                    assert act.partial_sum_feedback == feedback[left][a]
 
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_g_only_after_left_block_decided(self, arch, spec16_11, noisy_frames):

@@ -34,6 +34,13 @@ class TestChannelParams:
         with pytest.raises(ValueError, match="ebn0_db must be finite"):
             ChannelParams(ebn0_db, 0.5)
 
+    @pytest.mark.parametrize("ebn0_db", [3090.0, 3080.0, -3090.0])
+    def test_sigma_outside_normal_float_range_rejected(self, ebn0_db):
+        # 3090 dB overflowed 10^(ebn0/10), 3080 dB gave a subnormal sigma^2
+        # and -3090 dB an infinite sigma: LLRs of inf or nan
+        with pytest.raises(ValueError, match="outside the normal float range"):
+            ChannelParams(ebn0_db, 11 / 16)
+
 
 BPSK = ChannelParams(3.0, 0.5)
 OOK = ChannelParams(3.0, 0.5, "ook")

@@ -242,6 +242,17 @@ class TestSweepCommand:
         assert code == 1 and out == ""
         assert err == "error: Eb/N0 grid must have at most 10000 points\n"
 
+    @pytest.mark.parametrize("grid", ["3090:3090:1", "3080:3080:1", "-3090:-3090:1"])
+    def test_ebn0_beyond_float_sigma(self, capsys, grid):
+        # 3090 dB was an OverflowError traceback; 3080 and -3090 dB a numpy
+        # warning, then "LLR must be finite"
+        code, out, err = run_cli(
+            capsys, "sweep", "--code", "16,11", f"--ebn0={grid}", "--max-frames", "10",
+        )
+        assert code == 1 and out == ""
+        ebn0 = float(grid.split(":")[0])
+        assert err == f"error: Eb/N0 {ebn0} dB gives noise sigma^2 outside the normal float range\n"
+
     def test_quant_bits_beyond_int32_grid(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--code", "16,11", "--decoder", "fixed", "--quant-bits", "32",

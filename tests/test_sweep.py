@@ -121,8 +121,22 @@ class TestConfig:
             SweepConfig(code=(16, 11), ebn0_start=0.0, **grid)
 
     def test_largest_grid_accepted(self):
-        config = SweepConfig(code=(16, 11), ebn0_start=0.0, ebn0_stop=MAX_EBN0_POINTS - 1.0)
+        # a quarter-dB step keeps the top point's noise sigma in float range
+        config = SweepConfig(
+            code=(16, 11), ebn0_start=0.0, ebn0_stop=(MAX_EBN0_POINTS - 1) / 4, ebn0_step=0.25,
+        )
         assert len(config.ebn0_points()) == MAX_EBN0_POINTS
+
+    @pytest.mark.parametrize("grid", [
+        dict(ebn0_start=3090.0, ebn0_stop=3090.0),
+        dict(ebn0_start=0.0, ebn0_stop=3080.0, ebn0_step=10.0),
+        dict(ebn0_start=-3090.0, ebn0_stop=0.0, ebn0_step=3.0),
+    ], ids=["3090", "stop_3080", "start_minus_3090"])
+    def test_grid_beyond_float_sigma_rejected(self, grid):
+        with pytest.raises(ValueError, match="outside the normal float range"):
+            SweepConfig(code=(16, 11), **grid)
+        with pytest.raises(ValueError, match="outside the normal float range"):
+            SweepConfig(decoder="rs15_11", **grid)
 
     @pytest.mark.parametrize("quant_bits, frac_bits", [(40, 1), (2, 1), (5, 5)])
     def test_bad_fixed_format_rejected(self, quant_bits, frac_bits):
@@ -146,6 +160,8 @@ class TestConfig:
             SweepConfig(code=(16, 11), ebn0_start=5.0, ebn0_stop=4.0)
         with pytest.raises(ValueError):
             SweepConfig(code=(16, 11), max_frames=0)
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            SweepConfig(code=(16, 11), master_seed=-1)
 
 
 def small_config(**overrides):
@@ -354,6 +370,8 @@ class TestSweepDriver:
     def pools(self, monkeypatch):
         monkeypatch.setattr(RecordingPool, "opened", [])
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        # pool sizes below do not depend on the host's CPU count
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 64)
         return RecordingPool.opened
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -377,6 +395,16 @@ class TestSweepDriver:
         assert pools == [5, 3]
         run_sweep(small_config(max_frames=STREAM_FRAMES), workers=8)
         assert pools == [5, 3]  # one chunk per point: no pool at all
+
+    def test_pool_capped_at_cpu_count(self, pools, monkeypatch):
+        # a fork-context pool starts all its workers on the first submit
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        serial = run_sweep(small_config(max_frames=6000))
+        assert run_sweep(small_config(max_frames=6000), workers=100_000) == serial
+        assert pools == [2]
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)  # unknown: one process
+        run_sweep(small_config(max_frames=6000), workers=100_000)
+        assert pools == [2]
 
     def test_chunks_are_generated_lazily(self, monkeypatch, spec16_11):
         simulated = []
