@@ -1,14 +1,23 @@
 """Vectorized many-frames-at-once kernels backing the Monte-Carlo engine.
 
-Each function processes a (frames, N) array with the identical arithmetic
-the scalar reference implementations use, so results are bit-for-bit equal;
+Each function processes many frames with the identical arithmetic the
+scalar reference implementations use, so results are bit-for-bit equal;
 the test suite asserts that equivalence.  The SC traversal order is data
 independent, which is what makes whole batches decodable in lockstep: one
 node plan per frozen set, run by one executor over frame-minor buffers.
+
+The public functions take (frames, N) rows.  The sweep keeps each chunk
+frame-minor instead, one frame per column, from its draws to its error
+count: _encode_systematic and the butterfly run along axis 0, and the
+_*_columns decoders take (N, frames) LLRs and return x_hat =
+transform(u_hat), from which the sweep reads the information bits with no
+transpose and no re-encode.  decode_*_rows are adapters over them that
+transpose in and return u_hat = transform(x_hat).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -21,36 +30,46 @@ _LANE_MASKS = {1: 0x00FF00FF00FF00FF, 2: 0x0000FFFF0000FFFF, 4: 0x00000000FFFFFF
 _LANE_MIN_BYTES = 256
 
 
-def butterfly(x):
-    """Polar transform of x in place along its last axis; returns XORs per row.
+def butterfly(x, axis=-1):
+    """Polar transform of x in place along axis; returns XORs per transform.
 
     Each of the log2(N) stages performs N/2 XORs, counted as they run.  A
-    stage is one reshaped XOR over all rows.  Byte rows of a multiple of 8
-    bytes, in arrays of at least _LANE_MIN_BYTES, run on 64-bit lanes: a
-    stage below 8 bytes XORs each lane with its own masked shift, a wider
-    one XORs whole lanes.
+    stage is one reshaped XOR over the whole array: the elements after axis
+    travel with their bit position, so a frame-minor (N, frames) array
+    transforms along axis 0 with every operand a contiguous block.  Byte
+    arrays of at least _LANE_MIN_BYTES run on 64-bit lanes where a lane
+    holds either 8 bit positions of one row (transforms along the last axis,
+    N a multiple of 8) or 8 elements of one position (the elements after
+    axis a multiple of 8).  A stage below 8 positions then XORs each lane
+    with its own masked shift; a wider one XORs whole lanes.
     """
     if not x.flags.c_contiguous:
         rows = np.ascontiguousarray(x)
-        xors = butterfly(rows)
+        xors = butterfly(rows, axis)
         x[...] = rows
         return xors
-    n_bits = x.shape[-1]
-    rows = x.reshape(-1, n_bits)
+    axis %= x.ndim
+    n_bits = x.shape[axis]
+    inner = math.prod(x.shape[axis + 1 :])  # elements per bit position
+    rows = x.reshape(-1, n_bits * inner)
     xors = 0
     dist = 1
-    if x.dtype == np.uint8 and n_bits % 8 == 0 and x.nbytes >= _LANE_MIN_BYTES:
+    if x.dtype == np.uint8 and x.nbytes >= _LANE_MIN_BYTES and (
+        inner % 8 == 0 or (inner == 1 and n_bits % 8 == 0)
+    ):
         rows = rows.view("<u8")
-        shifted = np.empty_like(rows)
-        for dist, mask in _LANE_MASKS.items():
-            np.right_shift(rows, 8 * dist, out=shifted)
-            np.bitwise_and(shifted, mask, out=shifted)
-            np.bitwise_xor(rows, shifted, out=rows)
-            xors += n_bits // 2
-        dist = 8
-    width = n_bits // rows.shape[1]  # elements of x per element of rows
+        if inner == 1:
+            shifted = np.empty_like(rows)
+            for dist, mask in _LANE_MASKS.items():
+                np.right_shift(rows, 8 * dist, out=shifted)
+                np.bitwise_and(shifted, mask, out=shifted)
+                np.bitwise_xor(rows, shifted, out=rows)
+                xors += n_bits // 2
+            dist = 8
+    width = n_bits * inner // rows.shape[1]  # elements of x per element of rows
     while dist < n_bits:
-        pairs = rows.reshape(len(rows), -1, 2, dist // width)
+        unit = dist * inner // width
+        pairs = rows.reshape(len(rows), n_bits // (2 * dist), 2, unit)
         pairs[:, :, 0] ^= pairs[:, :, 1]
         xors += n_bits // 2
         dist *= 2
@@ -65,32 +84,58 @@ def transform_rows(bits):
 
 
 def encode_systematic_rows(messages, spec):
-    """Row-wise two-pass systematic encoding of a (frames, K) message array.
+    """Row-wise two-pass systematic encoding of a (frames, K) message array."""
+    messages = np.asarray(messages, dtype=np.uint8)
+    if messages.ndim != 2 or messages.shape[1] != spec.info_len:
+        raise ValueError(f"expected {spec.info_len} message bits per row, got shape {messages.shape}")
+    return _encode_systematic(messages, spec, 1)
+
+
+def _encode_systematic(messages, spec, axis):
+    """Two-pass systematic encoding of a 2-D uint8 message array whose K bits
+    run along axis: 1 for (frames, K) rows, 0 for frame-minor (K, frames).
 
     The message is gathered onto info_set (np.take, several times faster
     than a fancy-index scatter), and frozen positions are zeroed by an AND
     with the info mask.
     """
-    messages = np.asarray(messages, dtype=np.uint8)
-    if messages.ndim != 2 or messages.shape[1] != spec.info_len:
-        raise ValueError(f"expected {spec.info_len} message bits per row, got shape {messages.shape}")
     info_mask = ~spec.frozen_mask()
-    source = np.cumsum(info_mask) - 1  # message column of each info position
-    t = transform_rows(np.take(messages, np.maximum(source, 0), axis=1) & info_mask)
-    return transform_rows(t & info_mask)
+    source = np.maximum(np.cumsum(info_mask) - 1, 0)  # message bit of each info position
+    mask = info_mask if axis else info_mask[:, None]
+    x = np.take(messages, source, axis=axis) & mask
+    butterfly(x, axis)
+    x &= mask
+    butterfly(x, axis)
+    return x
+
+
+def _check_llr_magnitude(llrs, n_bits):
+    """Raise ValueError unless every LLR and n_bits * max|LLR| are finite.
+
+    A min-sum value at stage s is at most 2^(n-s) * max|LLR|, so under this
+    bound no F or G of a length-n_bits decode can overflow.  This is the one
+    LLR magnitude rule of codec._llr_frame and _llr_rows.
+    """
+    if not llrs.size:
+        return
+    peak = float(np.abs(llrs).max())
+    if not math.isfinite(peak):
+        raise ValueError("LLR must be finite")
+    if not math.isfinite(n_bits * peak):
+        raise ValueError(f"LLR magnitude {peak!r} times N = {n_bits} overflows a float")
 
 
 def _llr_rows(llrs, spec):
-    """(frames, N) LLR rows, checked to be N wide and, unless integer, finite
-    floats; the row counterpart of codec._llr_frame, through which every
-    batch decoder takes its input."""
+    """(frames, N) LLR rows, checked to be N wide and, unless integer, floats
+    within _check_llr_magnitude; the row counterpart of codec._llr_frame,
+    through which every decode_*_rows takes its input."""
     rows = np.asarray(llrs)
     if rows.dtype.kind not in "iu":
         rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != spec.block_len:
         raise ValueError(f"expected {spec.block_len} LLRs per row, got shape {rows.shape}")
-    if rows.dtype.kind == "f" and not np.isfinite(rows).all():
-        raise ValueError("LLR must be finite")
+    if rows.dtype.kind == "f":
+        _check_llr_magnitude(rows, spec.block_len)
     return rows
 
 
@@ -148,29 +193,29 @@ def _node_plan(n_bits, frozen_set):
     return tuple(plan)
 
 
-def _sc_execute(rows, spec, dtype, f, g):
-    """The batch SC decoder: run spec's node plan over (frames, N) rows in
-    dtype; returns the (frames, N) u_hat.
+def _sc_execute(llrs, spec, dtype, f, g):
+    """The batch SC decoder: run spec's node plan over frame-minor (N,
+    frames) LLRs in dtype; returns x_hat, the (N, frames) root partial sums.
 
-    The LLRs are held frame-minor: the transposed rows are the root's stage
-    buffer and stage s < n has one (2^s, frames) buffer, so the operands of
-    every F and G are two contiguous half-blocks, taken _BLOCK_BYTES at a
-    time.  f(a, b, out, scratch) and g(a, b, bits, out) write into out; g
-    gets bits None where the feedback is all zero.  Partial sums live in
-    one (N, frames) array indexed by bit position and are XORed in place.
+    llrs is the root's stage buffer and is only read, so it may be of any
+    dtype whose values dtype holds exactly.  Stage s < n has one (2^s,
+    frames) buffer, so the operands of every F and G are two contiguous
+    half-blocks, taken _BLOCK_BYTES at a time.  f(a, b, out, scratch) and
+    g(a, b, bits, out) write into out; g gets bits None where the feedback
+    is all zero.  Partial sums live in one (N, frames) array indexed by bit
+    position: each leaf writes its decision there and each merge XORs in
+    place, so after the root's merge it holds transform(u_hat).
     """
     plan = _node_plan(spec.block_len, spec.frozen_set)
-    llrs = _transposed(rows, dtype)
     n_bits, frames = llrs.shape
-    block = 1 << max(0, (_BLOCK_BYTES // (llrs.itemsize * max(frames, 1))).bit_length() - 1)
+    itemsize = np.dtype(dtype).itemsize
+    block = 1 << max(0, (_BLOCK_BYTES // (itemsize * max(frames, 1))).bit_length() - 1)
     buffers = [np.empty((1 << s, frames), dtype) for s in range(spec.stages)] + [llrs]
     scratch = np.empty((min(block, n_bits), frames), dtype)
     sums = np.zeros((n_bits, frames), dtype=np.uint8)
-    u_hat = np.zeros((n_bits, frames), dtype=np.uint8)
     for op, stage, base in plan:
         if op == _LEAF:
-            np.less(buffers[0][0], 0, out=u_hat[base])
-            sums[base] = u_hat[base]
+            np.less(buffers[0][0], 0, out=sums[base])
             continue
         half = 1 << (stage - 1)
         if op == _MERGE:
@@ -186,7 +231,15 @@ def _sc_execute(rows, spec, dtype, f, g):
             else:
                 bits = sums[base + lo : base + lo + step] if op == _G else None
                 g(a, b, bits, out[lo : lo + step])
-    return _transposed(u_hat, np.uint8)
+    return sums
+
+
+def _u_hat_rows(x_hat):
+    """(frames, N) u_hat rows of an (N, frames) x_hat: the polar transform is
+    its own inverse, so u_hat = transform(x_hat)."""
+    u_hat = _transposed(x_hat, np.uint8)
+    butterfly(u_hat)
+    return u_hat
 
 
 def _f_minsum(a, b, out, scratch):
@@ -224,48 +277,91 @@ def _int_dtype(bound):
     return None
 
 
-def decode_minsum_rows(llrs, spec):
-    """Min-sum SC decode of every row; returns the (frames, N) u_hat array.
+def _minsum_columns(llrs, spec):
+    """Min-sum SC decode of frame-minor (N, frames) LLRs; returns x_hat.
 
     Integer LLRs, such as hard_llr_rows gives, decode on integers: every F
     and G value is then an integer of magnitude at most N*max|LLR|, so
     int16 or int32 holds it exactly and the decisions equal float64's.
-    Wider integers and floats decode in float64.
+    Wider integers and floats decode in float64.  The LLRs are not checked;
+    decode_minsum_rows is the checked entry.
     """
-    rows = _llr_rows(llrs, spec)
     dtype = None
-    if rows.dtype.kind in "iu" and rows.size:
-        dtype = _int_dtype(spec.block_len * max(-int(rows.min()), int(rows.max())))
-    return _sc_execute(rows, spec, dtype or np.float64, _f_minsum, _g)
+    if llrs.dtype.kind in "iu" and llrs.size:
+        dtype = _int_dtype(spec.block_len * max(-int(llrs.min()), int(llrs.max())))
+    return _sc_execute(llrs, spec, dtype or np.float64, _f_minsum, _g)
 
 
-def decode_exact_rows(llrs, spec):
-    """Exact log-domain SC decode of every row."""
-    return _sc_execute(_llr_rows(llrs, spec), spec, np.float64, _f_exact, _g)
+def _exact_columns(llrs, spec):
+    """Exact log-domain SC decode of frame-minor (N, frames) float LLRs;
+    returns x_hat.  The LLRs are not checked."""
+    return _sc_execute(llrs, spec, np.float64, _f_exact, _g)
 
 
-def quantize_rows(llrs, qspec):
-    """Quantize an LLR array of any shape: scale by 2^fraction_bits, round
-    half away from zero, saturate to +/-max_mag; returns int32 grid values."""
-    scaled = np.abs(llrs) * 2.0**qspec.fraction_bits
-    raw = np.sign(llrs) * np.floor(scaled + 0.5)
-    return np.clip(raw, -qspec.max_mag, qspec.max_mag).astype(np.int32)
+def _fixed_columns(llrs, spec, qspec):
+    """Fixed-point min-sum SC decode of frame-minor (N, frames) float LLRs
+    on the Q-bit grid; returns x_hat.  The LLRs are not checked, and the
+    quantizer overwrites them on its way into the int16 or int32 buffer
+    the decode starts from.
 
-
-def decode_fixed_rows(llrs, spec, qspec):
-    """Fixed-point min-sum SC decode of every row on the Q-bit grid.
-
-    A G sum of two grid values is at most 2*max_mag before its clamp, so
-    Q <= 15 decodes in int16 and wider grids in int32.
+    Every G saturates to +/-max_mag.  A G sum of two grid values is at most
+    2*max_mag before its clamp, so Q <= 15 decodes in int16 and wider grids
+    in int32.
     """
-    raw = quantize_rows(np.asarray(_llr_rows(llrs, spec), dtype=float), qspec)
     max_mag = qspec.max_mag
+    raw = np.empty(llrs.shape, _int_dtype(2 * max_mag))
+    _quantize_into(llrs, qspec, raw)
 
     def g_sat(a, b, bits, out):
         _g(a, b, bits, out)
         np.clip(out, -max_mag, max_mag, out=out)
 
-    return _sc_execute(raw, spec, _int_dtype(2 * max_mag), _f_minsum, g_sat)
+    return _sc_execute(raw, spec, raw.dtype, _f_minsum, g_sat)
+
+
+def decode_minsum_rows(llrs, spec):
+    """Min-sum SC decode of every row; returns the (frames, N) u_hat array."""
+    rows = _llr_rows(llrs, spec)
+    return _u_hat_rows(_minsum_columns(_transposed(rows, rows.dtype), spec))
+
+
+def decode_exact_rows(llrs, spec):
+    """Exact log-domain SC decode of every row; returns u_hat."""
+    rows = _llr_rows(llrs, spec)
+    return _u_hat_rows(_exact_columns(_transposed(rows, np.float64), spec))
+
+
+def quantize_rows(llrs, qspec):
+    """Quantize an LLR array of any shape: scale by 2^fraction_bits, round
+    half away from zero, saturate to +/-max_mag; returns int32 grid values."""
+    values = np.array(llrs, dtype=float)
+    raw = np.empty(values.shape, np.int32)
+    _quantize_into(values, qspec, raw)
+    return raw
+
+
+def _quantize_into(llrs, qspec, out):
+    """quantize_rows's rule, written into the integer array out with no
+    temporary array; the float array llrs is overwritten.
+
+    The grid value is sign(v) * floor(min(|v|, max_mag * step) /
+    step + 0.5).  Every |v| from max_mag * step up rounds to max_mag, so
+    clamping before the scaling saturates exactly as clamping after it
+    would, and the scaling by the power of two 1 / step cannot overflow.
+    """
+    np.sign(llrs, out=out, casting="unsafe")
+    np.abs(llrs, out=llrs)
+    np.minimum(llrs, qspec.max_mag * qspec.step, out=llrs)
+    np.multiply(llrs, 2.0**qspec.fraction_bits, out=llrs)
+    np.add(llrs, 0.5, out=llrs)
+    np.floor(llrs, out=llrs)
+    np.multiply(out, llrs, out=out, casting="unsafe")
+
+
+def decode_fixed_rows(llrs, spec, qspec):
+    """Fixed-point min-sum SC decode of every row on the Q-bit grid; returns u_hat."""
+    rows = _llr_rows(llrs, spec)
+    return _u_hat_rows(_fixed_columns(_transposed(rows, np.float64), spec, qspec))
 
 
 def hard_llr_rows(bits):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import butterfly, encode_systematic_rows, hard_llr_rows
+from .batch import _check_llr_magnitude, butterfly, encode_systematic_rows, hard_llr_rows
 from .construction import is_power_of_two
 
 
@@ -48,12 +48,12 @@ class DecodeResult:
 
 def _llr_frame(channel_llrs, spec):
     """One frame of channel LLRs as a float array, checked to hold exactly
-    N finite values; every scalar decoder takes its input through here."""
+    N values within batch._check_llr_magnitude (finite, with N*max|LLR|
+    finite); every scalar decoder takes its input through here."""
     llrs = np.asarray(channel_llrs, dtype=float)
     if llrs.shape != (spec.block_len,):
         raise ValueError(f"expected {spec.block_len} LLRs, got {llrs.size}")
-    if not np.isfinite(llrs).all():
-        raise ValueError("LLR must be finite")
+    _check_llr_magnitude(llrs, spec.block_len)
     return llrs
 
 

@@ -7,6 +7,13 @@ sweep's outcome is therefore a pure function of its configuration: frames
 may be simulated in any order, in chunks of any size, or on any number of
 parallel workers without changing a single count.  Early stopping cuts at
 the exact frame where the requested number of frame errors is reached.
+
+A chunk runs frame-minor, one frame per column, from its draws to its
+comparison, the layout the batch SC decoder works in: it encodes, adds the
+BPSK symbols into its noise and scales that to LLRs in place, decodes to
+x_hat, and compares x_hat's information rows with the messages.  It returns
+only its error frames, as (count, offsets, bit-error counts), and
+_reduce_point cuts on the offsets.
 """
 
 from __future__ import annotations
@@ -100,8 +107,18 @@ class SweepConfig:
             object.__setattr__(self, "code", bhattacharyya_construct(int(n), int(k)))
         # Sigma falls as Eb/N0 rises, so the grid's ends bound every point's.
         points = self.ebn0_points()
-        for ebn0 in (points[0], points[-1]):
-            channel.ChannelParams(ebn0, _frame_shape(self)[2])
+        _, channel_bits, rate = _frame_shape(self)
+        channel.ChannelParams(points[0], rate)
+        sigma = channel.ChannelParams(points[-1], rate).noise_sigma
+        # Where this bound nears overflow, sigma is tiny and every received
+        # |y| < 2, so each LLR 2y/sigma^2 is below 4/sigma^2; N times that
+        # must stay finite, as batch._check_llr_magnitude asks of a frame.
+        llr_bound = 4.0 / (sigma * sigma)
+        if not math.isfinite(channel_bits * llr_bound):
+            raise ValueError(
+                f"Eb/N0 {points[-1]} dB gives LLRs of up to 4/sigma^2 = {llr_bound!r},"
+                f" too large for a length-{channel_bits} decode"
+            )
 
     def _grid_steps(self):
         return (self.ebn0_stop - self.ebn0_start) / self.ebn0_step + 1e-9
@@ -137,26 +154,19 @@ class SweepPoint:
         return self.frame_errors < MIN_CONFIDENT_ERRORS
 
 
-def _block_draws(point_seed, block, payload_bits, channel_bits, sigma, rows=STREAM_FRAMES):
-    """Stream block `block` of a point: STREAM_FRAMES messages, then the
-    channel noise of its first `rows` frames, from
-    Generator(Philox(key=[point_seed, block])).  The noise comes out row by
-    row, so fewer rows are a prefix of the whole block's noise."""
-    gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
-    messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
-    return messages, gen.normal(0.0, sigma, size=(rows, channel_bits))
-
-
 def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
     """The per-frame random draws: message bits, then channel noise.
 
     This is the reference definition of a frame's randomness: row
-    frame_index % STREAM_FRAMES of block frame_index // STREAM_FRAMES.  The
-    chunked engine draws the same whole blocks and slices them.
+    frame_index % STREAM_FRAMES of the stream block frame_index //
+    STREAM_FRAMES, which is Generator(Philox(key=[point_seed, block])) drawing
+    the block's STREAM_FRAMES messages and then its noise, row by row.  The
+    chunked engine draws the same blocks (_chunk_draws).
     """
     block, row = divmod(frame_index, STREAM_FRAMES)
-    messages, noise = _block_draws(point_seed, block, payload_bits, channel_bits, sigma)
-    return messages[row], noise[row]
+    gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
+    messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
+    return messages[row], gen.normal(0.0, sigma, size=(STREAM_FRAMES, channel_bits))[row]
 
 
 def point_seed_for(master_seed, point_index):
@@ -174,65 +184,104 @@ def _frame_shape(config):
     return payload, chan, payload / chan
 
 
+def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma):
+    """The draws of frames [start, start+count) of a point, frame-minor:
+    column j of the (payload_bits, count) messages and of the (channel_bits,
+    count) noise is frame_draws(point_seed, start + j, ...).
+
+    Each stream block the chunk touches draws its messages, then its noise
+    up to the last row the chunk uses into one STREAM_FRAMES-row scratch;
+    sigma * standard normal equals gen.normal(0, sigma) bit for bit.  The
+    rows used are written transposed, a block at a time.
+    """
+    messages = np.empty((payload_bits, count), dtype=np.uint8)
+    noise = np.empty((channel_bits, count))
+    scratch = np.empty((STREAM_FRAMES, channel_bits))
+    stop = start + count
+    for block in range(start // STREAM_FRAMES, -(-stop // STREAM_FRAMES)):
+        first = block * STREAM_FRAMES
+        lo, hi = max(start, first) - first, min(stop, first + STREAM_FRAMES) - first
+        columns = slice(first + lo - start, first + hi - start)
+        gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
+        block_messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
+        messages[:, columns] = block_messages[lo:hi].T
+        gen.standard_normal(out=scratch[:hi])
+        np.multiply(scratch[lo:hi].T, sigma, out=noise[:, columns])
+    return messages, noise
+
+
 def _simulate_chunk(args):
     """Simulate frames [start, start+count) of one point.
 
     args is (config, point_seed, start, count, params), with params the
-    point's ChannelParams.  Each stream block the chunk touches is drawn up
-    to the last noise row it uses.  Returns per-frame bit-error counts and
-    frame-error flags.
+    point's ChannelParams.  The chunk runs frame-minor, one frame per
+    column, from its draws to its comparison.  Returns (count, offsets,
+    bit_errors): the offsets from start of the frames with a bit error, in
+    order, and their bit-error counts.  A frame has a bit error exactly when
+    it is a frame error, so the error-free frames need no record.
     """
     config, point_seed, start, count, params = args
     payload_bits, channel_bits, _ = _frame_shape(config)
-    messages = np.empty((count, payload_bits), dtype=np.uint8)
-    noise = np.empty((count, channel_bits))
-    stop = start + count
-    for block in range(start // STREAM_FRAMES, -(-stop // STREAM_FRAMES)):
-        first = block * STREAM_FRAMES
-        lo, hi = max(start, first), min(stop, first + STREAM_FRAMES)
-        block_messages, block_noise = _block_draws(
-            point_seed, block, payload_bits, channel_bits, params.noise_sigma, hi - first
-        )
-        messages[lo - start:hi - start] = block_messages[lo - first:hi - first]
-        noise[lo - start:hi - start] = block_noise[lo - first:hi - first]
-
+    messages, received = _chunk_draws(
+        point_seed, start, count, payload_bits, channel_bits, params.noise_sigma
+    )
     if config.decoder == "rs15_11":
-        decoded = _run_rs_frames(messages, noise, params)
+        decoded = _rs_info_bits(messages, received)
     else:
-        decoded = _run_polar_frames(config, messages, noise, params)
-    wrong = decoded != messages
-    return wrong.sum(axis=1).astype(np.int64), wrong.any(axis=1)
+        decoded = _polar_info_bits(config, messages, received, params)
+    bit_errors = np.count_nonzero(decoded != messages, axis=0)
+    offsets = np.flatnonzero(bit_errors)
+    return count, offsets, bit_errors[offsets]
 
 
-def _run_polar_frames(config, messages, noise, params):
+def _add_bpsk_symbols(noise, code_bits):
+    """noise += modulate(code_bits) in place: BPSK 0 -> +1, 1 -> -1.  Every
+    sweep builds its ChannelParams with the default BPSK, and the add is
+    exact in either order, so this equals modulate(...) + noise."""
+    symbols = np.multiply(code_bits.view(np.int8), np.int8(-2))
+    symbols += 1
+    noise += symbols
+
+
+def _polar_info_bits(config, messages, received, params):
+    """Encode, transmit and decode one frame-minor chunk of the polar code;
+    returns the decoded (K, count) information bits.
+
+    received holds the chunk's noise and is overwritten: it becomes the
+    received symbols, then the soft decoders' LLRs, computed as
+    channel.llr_from_awgn does.  hard decodes y < 0 as -1 and y >= 0 as +1,
+    channel.hard_slice then batch.hard_llr_rows.
+    """
     spec = config.code
-    codewords = batch.encode_systematic_rows(messages, spec)
-    received = channel.modulate(codewords, params) + noise
+    _add_bpsk_symbols(received, batch._encode_systematic(messages, spec, 0))
     if config.decoder == "hard":
-        llrs = batch.hard_llr_rows(channel.hard_slice(received, params))
-        u_hat = batch.decode_minsum_rows(llrs, spec)
+        llrs = np.less(received, 0).view(np.int8)
+        llrs *= -2
+        llrs += 1
+        x_hat = batch._minsum_columns(llrs, spec)
     else:
-        llrs = channel.llr_from_awgn(received, params)
+        sigma = params.noise_sigma
+        llrs = np.multiply(received, 2.0, out=received)
+        np.divide(llrs, sigma * sigma, out=llrs)
         if config.decoder == "soft_minsum":
-            u_hat = batch.decode_minsum_rows(llrs, spec)
+            x_hat = batch._minsum_columns(llrs, spec)
         elif config.decoder == "soft_exact":
-            u_hat = batch.decode_exact_rows(llrs, spec)
+            x_hat = batch._exact_columns(llrs, spec)
         else:
-            u_hat = batch.decode_fixed_rows(
-                llrs, spec, QuantSpec(config.quant_bits, config.frac_bits)
-            )
-    x_hat = batch.transform_rows(u_hat)
-    return np.take(x_hat, spec.info_set, axis=1)
+            x_hat = batch._fixed_columns(llrs, spec, QuantSpec(config.quant_bits, config.frac_bits))
+    return np.take(x_hat, spec.info_set, axis=0)
 
 
-def _run_rs_frames(messages, noise, params):
-    info_symbols = reed_solomon.bits_to_symbols(messages)
-    codewords = reed_solomon.rs_encode_rows(info_symbols)
-    code_bits = reed_solomon.symbols_to_bits(codewords)
-    received = channel.modulate(code_bits, params) + noise
-    received_symbols = reed_solomon.bits_to_symbols(channel.hard_slice(received, params))
+def _rs_info_bits(messages, received):
+    """Encode, transmit, hard-slice and decode one frame-minor RS(15,11)
+    chunk on the row-major GF(16) kernels; returns the decoded (44, count)
+    information bits.  received is overwritten as in _polar_info_bits."""
+    info_symbols = reed_solomon.bits_to_symbols(messages.T)
+    code_bits = reed_solomon.symbols_to_bits(reed_solomon.rs_encode_rows(info_symbols))
+    _add_bpsk_symbols(received, code_bits.T)
+    received_symbols = reed_solomon.bits_to_symbols(np.less(received, 0).T)
     decoded_symbols, _ = reed_solomon.rs_decode_rows(received_symbols)
-    return reed_solomon.symbols_to_bits(decoded_symbols)
+    return reed_solomon.symbols_to_bits(decoded_symbols).T
 
 
 def _chunk_starts(max_frames):
@@ -329,14 +378,16 @@ def _reduce_point(ebn0, results, min_frame_errors, payload_bits):
     """One point's SweepPoint from its chunk results, taken in index order
     up to the exact frame whose error reaches min_frame_errors."""
     frames = bit_errors = frame_errors = 0
-    for per_frame_bits, per_frame_flags in results:
-        cumulative = frame_errors + np.cumsum(per_frame_flags)
-        cut = min(int(np.searchsorted(cumulative, min_frame_errors)) + 1, len(cumulative))
-        frames += cut
-        bit_errors += int(per_frame_bits[:cut].sum())
-        frame_errors = int(cumulative[cut - 1])
-        if frame_errors >= min_frame_errors:
+    for count, offsets, per_error_bits in results:
+        needed = min_frame_errors - frame_errors
+        if len(offsets) >= needed:
+            frames += int(offsets[needed - 1]) + 1
+            bit_errors += int(per_error_bits[:needed].sum())
+            frame_errors = min_frame_errors
             break
+        frames += count
+        bit_errors += int(per_error_bits.sum())
+        frame_errors += len(offsets)
     ber = bit_errors / (frames * payload_bits)
     return SweepPoint(ebn0, frames, bit_errors, frame_errors, ber, frame_errors / frames)
 

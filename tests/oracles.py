@@ -7,21 +7,26 @@ instead of sampled noise.
 """
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 
+@lru_cache(maxsize=None)
 def kron_generator_matrix(n_bits):
     """Polar generator matrix as an explicit Kronecker power.
 
     Row-vector convention x = u . G; entry G[i, j] = 1 iff the bit support
     of j is a subset of the bit support of i, built here with np.kron.
+    Built once per n_bits and returned read-only, since matrix_encode asks
+    for it on every call.
     """
     kernel = np.array([[1, 0], [1, 1]], dtype=np.uint8)
     g = np.array([[1]], dtype=np.uint8)
     while g.shape[0] < n_bits:
         g = np.kron(kernel, g) % 2
+    g.flags.writeable = False
     return g
 
 

@@ -167,6 +167,35 @@ def test_rows_reject_wrong_width_and_non_finite(decode, spec16_11):
             decode(llrs, spec16_11)
 
 
+@pytest.mark.parametrize("decode", [
+    decode_minsum_rows,
+    decode_exact_rows,
+    lambda llrs, spec: decode_fixed_rows(llrs, spec, QuantSpec(5, 1)),
+], ids=["minsum", "exact", "fixed"])
+def test_rows_reject_llrs_whose_n_fold_sum_overflows(decode, spec16_11):
+    # one row whose 16 LLRs could sum past the float range rejects the batch
+    llrs = np.ones((3, 16))
+    llrs[2] = np.where(np.arange(16) % 3, 1.6e308, -1.6e308)
+    with pytest.raises(ValueError, match="overflows"):
+        decode(llrs, spec16_11)
+    llrs[2] = np.finfo(float).max / 16
+    assert decode(llrs, spec16_11).shape == (3, 16)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("frames", [1, 5, 8, 64])
+def test_butterfly_along_either_axis(axis, frames, rng):
+    # frame-minor (N, frames) arrays transform along axis 0, on lanes when
+    # the frames are a multiple of 8 and the array is large enough
+    for n_bits in (1, 2, 16, 64):
+        bits = rng.integers(0, 2, (frames, n_bits)).astype(np.uint8)
+        x = bits.T.copy() if axis == 0 else bits.copy()
+        assert butterfly(x, axis) == n_bits // 2 * (n_bits.bit_length() - 1)
+        rows = x.T if axis == 0 else x
+        for row, x_row in zip(bits, rows):
+            assert np.array_equal(x_row, oracles.matrix_encode(row))
+
+
 @pytest.mark.parametrize("qbits", [4, 5, 10, 15, 16, 31])
 def test_decode_fixed_rows_matches_scalar(qbits, spec16_11, spec128_96, rng):
     qspec = QuantSpec(qbits, 1)
@@ -205,6 +234,15 @@ def test_quantize_rows_matches_scalar(rng):
     rows = quantize_rows(values, qspec)
     for v, raw in zip(values, rows):
         assert raw == _quantize_reference(float(v), qspec) == quantize(float(v), qspec)
+
+
+def test_quantize_rows_saturates_without_overflow():
+    # 1e308 * 2^30 overflowed: a RuntimeWarning, then int32 garbage
+    for qspec in (QuantSpec(31, 30), QuantSpec(5, 1)):
+        values = np.array([1e308, -3e307, np.finfo(float).max, qspec.max_mag * qspec.step, 5e-324])
+        m = qspec.max_mag
+        assert quantize_rows(values, qspec).tolist() == [m, -m, m, m, 0]
+        assert quantize(1e308, qspec) == m
 
 
 def test_hard_llr_rows():

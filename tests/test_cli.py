@@ -253,6 +253,18 @@ class TestSweepCommand:
         ebn0 = float(grid.split(":")[0])
         assert err == f"error: Eb/N0 {ebn0} dB gives noise sigma^2 outside the normal float range\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_ebn0_llrs_beyond_float(self, capsys):
+        # sigma^2 is a normal float at 3070 dB, but a min-sum g over 16 LLRs
+        # of about 2.7e307 overflowed: a RuntimeWarning and a count row, or
+        # under -W error a traceback
+        code, out, err = run_cli(
+            capsys, "sweep", "--code", "16,11", "--ebn0=3070:3070:1", "--max-frames", "10",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: Eb/N0 3070.0 dB gives LLRs of up to 4/sigma^2")
+        assert err.endswith(" too large for a length-16 decode\n") and err.count("\n") == 1
+
     def test_quant_bits_beyond_int32_grid(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--code", "16,11", "--decoder", "fixed", "--quant-bits", "32",

@@ -259,6 +259,16 @@ class TestLlrFrameCheck:
             decode(llrs, spec16_11)
 
     @pytest.mark.parametrize("decode", FRAME_DECODERS.values(), ids=FRAME_DECODERS.keys())
+    def test_rejects_llrs_whose_n_fold_sum_overflows(self, decode, spec16_11):
+        # 1.6e308 is finite, but a min-sum g over 16 of them is not: sc_decode
+        # once decoded through inf without a message
+        llrs = np.where(np.arange(16) % 3, 1.6e308, -1.6e308)
+        with pytest.raises(ValueError, match="overflows"):
+            decode(llrs, spec16_11)
+        # at the bound itself every sum is finite
+        decode(np.full(16, np.finfo(float).max / 16), spec16_11)
+
+    @pytest.mark.parametrize("decode", FRAME_DECODERS.values(), ids=FRAME_DECODERS.keys())
     @pytest.mark.parametrize("shape", [(8,), (17,), (1, 16), ()])
     def test_rejects_wrong_shape(self, decode, shape, spec16_11):
         with pytest.raises(ValueError, match="expected 16 LLRs"):

@@ -16,8 +16,18 @@ from polarfec import (
     parse_csv,
     run_sweep,
 )
+from polarfec import QuantSpec, channel
 from polarfec import sweep as sweep_module
-from polarfec.sweep import MAX_EBN0_POINTS, STREAM_FRAMES, frame_draws, point_seed_for
+from polarfec.batch import (
+    decode_exact_rows,
+    decode_fixed_rows,
+    decode_minsum_rows,
+    encode_systematic_rows,
+    hard_llr_rows,
+    transform_rows,
+)
+from polarfec.reed_solomon import bits_to_symbols, rs_decode_rows, rs_encode_rows, symbols_to_bits
+from polarfec.sweep import DECODERS, MAX_EBN0_POINTS, STREAM_FRAMES, frame_draws, point_seed_for
 
 
 class TestFrameStreams:
@@ -34,12 +44,17 @@ class TestFrameStreams:
             assert np.array_equal(frame_noise, noise)
 
     def test_partial_block_noise_is_a_prefix(self):
-        # a chunk that ends inside a block draws its noise only that far
-        messages, noise = sweep_module._block_draws(2718, 3, 11, 16, 0.7)
-        for rows in (1, 17, 255):
-            part_messages, part_noise = sweep_module._block_draws(2718, 3, 11, 16, 0.7, rows)
-            assert np.array_equal(part_messages, messages)
-            assert np.array_equal(part_noise, noise[:rows])
+        # a chunk that ends inside a block draws its noise only that far, and
+        # its columns are still the reference frames; the last chunk spans
+        # two blocks
+        first = 3 * STREAM_FRAMES
+        for start, stop in ((first, first + 1), (first + 5, first + 17), (first, first + 255), (first - 3, first + 9)):
+            messages, noise = sweep_module._chunk_draws(2718, start, stop - start, 11, 16, 0.7)
+            assert messages.shape == (11, stop - start) and noise.shape == (16, stop - start)
+            for column, frame in enumerate(range(start, stop)):
+                message, frame_noise = frame_draws(2718, frame, 11, 16, 0.7)
+                assert np.array_equal(messages[:, column], message)
+                assert np.array_equal(noise[:, column], frame_noise)
 
     def test_frame_draws_reproducible(self):
         a = frame_draws(7, 99, 11, 16, 0.5)
@@ -57,10 +72,74 @@ class TestFrameStreams:
         config = small_config(code=spec16_11)
         seed = point_seed_for(config.master_seed, 0)
         params = ChannelParams(2.0, 11 / 16)
-        bits_bulk, flags_bulk = _simulate_chunk((config, seed, 0, 2048, params))
-        bits_one, flags_one = _simulate_chunk((config, seed, 1000, 1, params))
+        bits_bulk = dense_bit_errors(_simulate_chunk((config, seed, 0, 2048, params)))
+        bits_one = dense_bit_errors(_simulate_chunk((config, seed, 1000, 1, params)))
+        assert bits_one.shape == (1,)
         assert bits_one[0] == bits_bulk[1000]
-        assert flags_one[0] == flags_bulk[1000]
+
+
+def dense_bit_errors(result):
+    """Per-frame bit-error counts of a chunk's sparse (count, offsets,
+    bit_errors) record, checked for its invariants on the way."""
+    count, offsets, bit_errors = result
+    assert len(offsets) == len(bit_errors) and (bit_errors > 0).all()
+    assert (np.diff(offsets) > 0).all() and (len(offsets) == 0 or 0 <= offsets[0] <= offsets[-1] < count)
+    dense = np.zeros(count, dtype=np.int64)
+    dense[offsets] = bit_errors
+    return dense
+
+
+def dense_reference(config, point_seed, start, count, params):
+    """Per-frame bit errors of frames [start, start+count), built frame-major
+    from the public API only: frame_draws, the row encoders, the channel
+    reference functions, decode_*_rows and transform_rows."""
+    payload_bits, channel_bits = sweep_module._frame_shape(config)[:2]
+    draws = [
+        frame_draws(point_seed, frame, payload_bits, channel_bits, params.noise_sigma)
+        for frame in range(start, start + count)
+    ]
+    messages = np.array([message for message, _ in draws])
+    noise = np.array([frame_noise for _, frame_noise in draws])
+    if config.decoder == "rs15_11":
+        code_bits = symbols_to_bits(rs_encode_rows(bits_to_symbols(messages)))
+        received = channel.modulate(code_bits, params) + noise
+        decoded_symbols, _ = rs_decode_rows(bits_to_symbols(channel.hard_slice(received, params)))
+        decoded = symbols_to_bits(decoded_symbols)
+    else:
+        spec = config.code
+        received = channel.modulate(encode_systematic_rows(messages, spec), params) + noise
+        llrs = channel.llr_from_awgn(received, params)
+        if config.decoder == "hard":
+            llrs = hard_llr_rows(channel.hard_slice(received, params))
+        if config.decoder in ("hard", "soft_minsum"):
+            u_hat = decode_minsum_rows(llrs, spec)
+        elif config.decoder == "soft_exact":
+            u_hat = decode_exact_rows(llrs, spec)
+        else:
+            u_hat = decode_fixed_rows(llrs, spec, QuantSpec(config.quant_bits, config.frac_bits))
+        decoded = transform_rows(u_hat)[:, list(spec.info_set)]
+    return (decoded != messages).sum(axis=1)
+
+
+class TestChunkAgainstDenseReference:
+    # Frames 250 to 769 touch blocks 0 to 3 and start and end mid-block.  At
+    # 1 dB a G sum of exactly zero, a tie for the F and leaf after it, occurs
+    # in 407 of these 520 (16,11) frames under hard decoding and in 195
+    # under Q5, and in all but one (128,96) frame under either.
+    START, COUNT = 250, 520
+
+    @pytest.mark.parametrize("code, decoder", [
+        *[(code, decoder) for code in ((16, 11), (128, 96)) for decoder in DECODERS if decoder != "rs15_11"],
+        (None, "rs15_11"),
+    ])
+    def test_chunk_matches_dense_reference(self, code, decoder):
+        config = SweepConfig(code=code, decoder=decoder, ebn0_start=1.0, ebn0_stop=1.0, master_seed=4)
+        params = ChannelParams(1.0, sweep_module._frame_shape(config)[2])
+        seed = point_seed_for(config.master_seed, 0)
+        chunk = dense_bit_errors(sweep_module._simulate_chunk((config, seed, self.START, self.COUNT, params)))
+        reference = dense_reference(config, seed, self.START, self.COUNT, params)
+        assert 0 < np.count_nonzero(reference) < self.COUNT
+        assert np.array_equal(chunk, reference)
 
 
 class TestConfig:
@@ -137,6 +216,16 @@ class TestConfig:
             SweepConfig(code=(16, 11), **grid)
         with pytest.raises(ValueError, match="outside the normal float range"):
             SweepConfig(decoder="rs15_11", **grid)
+
+    @pytest.mark.parametrize("decoder", ["soft_minsum", "hard", "rs15_11"])
+    def test_grid_end_llrs_beyond_float_rejected(self, decoder):
+        # sigma^2 is normal at 3070 dB, but N LLRs of up to 4/sigma^2 could
+        # sum past the float range; the first point cannot be that high
+        code = None if decoder == "rs15_11" else (16, 11)
+        for grid in (dict(ebn0_start=3070.0, ebn0_stop=3070.0), dict(ebn0_start=0.0, ebn0_stop=3070.0, ebn0_step=10.0)):
+            with pytest.raises(ValueError, match="too large for a length-"):
+                SweepConfig(code=code, decoder=decoder, **grid)
+        SweepConfig(code=code, decoder=decoder, ebn0_start=3000.0, ebn0_stop=3000.0)
 
     @pytest.mark.parametrize("quant_bits, frac_bits", [(40, 1), (2, 1), (5, 5)])
     def test_bad_fixed_format_rejected(self, quant_bits, frac_bits):
@@ -412,7 +501,7 @@ class TestSweepDriver:
 
         def recording_chunk(args):
             result = simulate_chunk(args)
-            simulated.append(len(result[1]))
+            simulated.append(result[0])
             return result
 
         monkeypatch.setattr(sweep_module, "_simulate_chunk", recording_chunk)
