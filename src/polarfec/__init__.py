@@ -15,7 +15,6 @@ from .architecture import (
     latency_clocks,
 )
 from .channel import (
-    OOK_AMPLITUDE,
     ChannelParams,
     hard_slice,
     llr_from_awgn,
@@ -68,7 +67,6 @@ __all__ = [
     "DecodeResult",
     "GENERATOR_POLY",
     "NoCrossingError",
-    "OOK_AMPLITUDE",
     "PeActivation",
     "QuantSpec",
     "RsDecodeResult",

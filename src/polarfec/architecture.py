@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# encode_nonsystematic is unused, but the benchmark tracer looks it up here.
+# encode_nonsystematic is unused, but the benchmark tracer rebinds it here.
 from .codec import _llr_frame, encode_nonsystematic, f_minsum, g_func
 from .construction import is_power_of_two
 

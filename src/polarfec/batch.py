@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import channel
+
 # Per little-endian 64-bit lane of bytes, the first `dist` bytes of every
 # 2*dist-byte group: the targets of a butterfly stage at distance dist.
 _LANE_MASKS = {1: 0x00FF00FF00FF00FF, 2: 0x0000FFFF0000FFFF, 4: 0x00000000FFFFFFFF}
@@ -280,8 +282,8 @@ def _int_dtype(bound):
 def _minsum_columns(llrs, spec):
     """Min-sum SC decode of frame-minor (N, frames) LLRs; returns x_hat.
 
-    Integer LLRs, such as hard_llr_rows gives, decode on integers: every F
-    and G value is then an integer of magnitude at most N*max|LLR|, so
+    Integer LLRs, such as channel.modulate's unit LLRs, decode on integers:
+    every F and G value is then an integer of magnitude at most N*max|LLR|, so
     int16 or int32 holds it exactly and the decisions equal float64's.
     Wider integers and floats decode in float64.  The LLRs are not checked;
     decode_minsum_rows is the checked entry.
@@ -365,5 +367,6 @@ def decode_fixed_rows(llrs, spec, qspec):
 
 
 def hard_llr_rows(bits):
-    """Map hard decisions to unit integer LLR rows, bit 0 -> +1 and bit 1 -> -1."""
-    return np.where(np.asarray(bits) == 0, np.int8(1), np.int8(-1))
+    """Map hard decisions to unit int8 LLR rows, bit 0 -> +1 and bit 1 -> -1:
+    their BPSK symbols, channel.modulate."""
+    return channel.modulate(bits)

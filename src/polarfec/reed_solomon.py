@@ -311,8 +311,8 @@ def rs_decode_rows(received_rows):
     """Row-wise rs_decode of a (frames, 15) symbol array.
 
     Returns (info, failure): a (frames, 11) uint8 array and a (frames,) bool
-    array, equal row by row to rs_decode's info and failure.  Decoding is one
-    lookup of the syndrome in a table of the weight <= 2 error patterns.
+    array, equal row by row to rs_decode's info and failure.  Decoding reads
+    the syndrome's entry in a table of the weight <= 2 error patterns.
     """
     received = np.asarray(_check_symbol_rows(received_rows, N_SYMBOLS), dtype=np.uint8)
     correction, failure = _syndrome_decoder()

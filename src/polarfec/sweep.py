@@ -10,16 +10,18 @@ the exact frame where the requested number of frame errors is reached.
 
 A chunk runs frame-minor, one frame per column, from its draws to its
 comparison, the layout the batch SC decoder works in: it encodes, adds the
-BPSK symbols into its noise and scales that to LLRs in place, decodes to
-x_hat, and compares x_hat's information rows with the messages.  It returns
-only its error frames, as (count, offsets, bit-error counts), and
-_reduce_point cuts on the offsets.
+BPSK symbols into its noise and scales that to LLRs in place (or slices
+it), each step a polarfec.channel rule, decodes to x_hat, and compares
+x_hat's information rows with the messages.  It returns only its error
+frames, as (count, offsets, bit-error counts), and _reduce_point cuts on
+the offsets.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -61,7 +63,8 @@ class SweepConfig:
     """One BER/FER sweep: code, decoder, Eb/N0 grid and stopping rules.
 
     Every input is checked, and the code resolved, when the config is built,
-    so a bad config raises here rather than inside a pool worker.
+    so a bad config raises here rather than inside a pool worker.  The frame
+    counts and the seed are held as Python ints.
     """
 
     # Given as a CodeSpec, an (N, K) tuple (constructed here), or None; held
@@ -89,6 +92,8 @@ class SweepConfig:
         # Also rejects a grid whose step count overflows to inf, such as 0:1e308:1e-308.
         if not self._grid_steps() < MAX_EBN0_POINTS:
             raise ValueError(f"Eb/N0 grid must have at most {MAX_EBN0_POINTS} points")
+        for name in ("max_frames", "min_frame_errors", "master_seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.max_frames < 1 or self.min_frame_errors < 1:
             raise ValueError("max_frames and min_frame_errors must be >= 1")
         if self.master_seed < 0:
@@ -152,6 +157,14 @@ class SweepPoint:
     @property
     def low_confidence(self):
         return self.frame_errors < MIN_CONFIDENT_ERRORS
+
+
+def _as_int(name, value):
+    """value, an integer of any kind (numpy's too), as a Python int; anything
+    else raises ValueError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
@@ -234,35 +247,20 @@ def _simulate_chunk(args):
     return count, offsets, bit_errors[offsets]
 
 
-def _add_bpsk_symbols(noise, code_bits):
-    """noise += modulate(code_bits) in place: BPSK 0 -> +1, 1 -> -1.  Every
-    sweep builds its ChannelParams with the default BPSK, and the add is
-    exact in either order, so this equals modulate(...) + noise."""
-    symbols = np.multiply(code_bits.view(np.int8), np.int8(-2))
-    symbols += 1
-    noise += symbols
-
-
 def _polar_info_bits(config, messages, received, params):
     """Encode, transmit and decode one frame-minor chunk of the polar code;
     returns the decoded (K, count) information bits.
 
     received holds the chunk's noise and is overwritten: it becomes the
-    received symbols, then the soft decoders' LLRs, computed as
-    channel.llr_from_awgn does.  hard decodes y < 0 as -1 and y >= 0 as +1,
-    channel.hard_slice then batch.hard_llr_rows.
+    received symbols, then the soft decoders' LLRs.  hard decodes the
+    symbols of the sliced bits, which are their unit LLRs.
     """
     spec = config.code
-    _add_bpsk_symbols(received, batch._encode_systematic(messages, spec, 0))
+    received += channel.modulate(batch._encode_systematic(messages, spec, 0))
     if config.decoder == "hard":
-        llrs = np.less(received, 0).view(np.int8)
-        llrs *= -2
-        llrs += 1
-        x_hat = batch._minsum_columns(llrs, spec)
+        x_hat = batch._minsum_columns(channel.modulate(channel.hard_slice(received)), spec)
     else:
-        sigma = params.noise_sigma
-        llrs = np.multiply(received, 2.0, out=received)
-        np.divide(llrs, sigma * sigma, out=llrs)
+        llrs = channel._scale_to_llrs(received, params)
         if config.decoder == "soft_minsum":
             x_hat = batch._minsum_columns(llrs, spec)
         elif config.decoder == "soft_exact":
@@ -278,8 +276,8 @@ def _rs_info_bits(messages, received):
     information bits.  received is overwritten as in _polar_info_bits."""
     info_symbols = reed_solomon.bits_to_symbols(messages.T)
     code_bits = reed_solomon.symbols_to_bits(reed_solomon.rs_encode_rows(info_symbols))
-    _add_bpsk_symbols(received, code_bits.T)
-    received_symbols = reed_solomon.bits_to_symbols(np.less(received, 0).T)
+    received += channel.modulate(code_bits.T)
+    received_symbols = reed_solomon.bits_to_symbols(channel.hard_slice(received).T)
     decoded_symbols, _ = reed_solomon.rs_decode_rows(received_symbols)
     return reed_solomon.symbols_to_bits(decoded_symbols).T
 
@@ -330,6 +328,7 @@ def run_sweep(config, workers=1):
     each set up by _init_worker.  config was checked, and its code
     resolved, when it was built.
     """
+    workers = _as_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     payload_bits, _, rate = _frame_shape(config)

@@ -102,15 +102,15 @@ def dense_reference(config, point_seed, start, count, params):
     noise = np.array([frame_noise for _, frame_noise in draws])
     if config.decoder == "rs15_11":
         code_bits = symbols_to_bits(rs_encode_rows(bits_to_symbols(messages)))
-        received = channel.modulate(code_bits, params) + noise
-        decoded_symbols, _ = rs_decode_rows(bits_to_symbols(channel.hard_slice(received, params)))
+        received = channel.modulate(code_bits) + noise
+        decoded_symbols, _ = rs_decode_rows(bits_to_symbols(channel.hard_slice(received)))
         decoded = symbols_to_bits(decoded_symbols)
     else:
         spec = config.code
-        received = channel.modulate(encode_systematic_rows(messages, spec), params) + noise
+        received = channel.modulate(encode_systematic_rows(messages, spec)) + noise
         llrs = channel.llr_from_awgn(received, params)
         if config.decoder == "hard":
-            llrs = hard_llr_rows(channel.hard_slice(received, params))
+            llrs = hard_llr_rows(channel.hard_slice(received))
         if config.decoder in ("hard", "soft_minsum"):
             u_hat = decode_minsum_rows(llrs, spec)
         elif config.decoder == "soft_exact":
@@ -251,6 +251,22 @@ class TestConfig:
             SweepConfig(code=(16, 11), max_frames=0)
         with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
             SweepConfig(code=(16, 11), master_seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("master_seed", 1.5), ("max_frames", 300.5), ("min_frame_errors", 2.5)]
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        # seed 1.5 ran seed 1's streams while the CSV said seed=1.5; 300.5
+        # raised TypeError and 2.5 IndexError inside run_sweep
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            SweepConfig(code=(16, 11), **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        # held as Python ints, so the CSV's floats are not numpy reprs
+        config = small_config(max_frames=np.int64(300), min_frame_errors=np.int32(60), master_seed=np.uint64(11))
+        assert (type(config.max_frames), type(config.min_frame_errors), type(config.master_seed)) == (int, int, int)
+        plain = small_config(max_frames=300)
+        assert sweep_csv(config, workers=np.int64(1)) == sweep_csv(plain)
 
 
 def small_config(**overrides):
@@ -466,6 +482,11 @@ class TestSweepDriver:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
+            run_sweep(small_config(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0])
+    def test_non_integer_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer"):
             run_sweep(small_config(), workers=workers)
 
     def test_one_pool_per_sweep(self, pools):
