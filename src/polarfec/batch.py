@@ -151,7 +151,7 @@ def _transposed(x, dtype):
 
 
 # Node plan operations.
-_F, _G, _G0, _LEAF, _MERGE = range(5)
+_F, _G, _G0, _LEAF, _MERGE, _REP, _RATE1 = range(7)
 
 # Bytes per operand block of one F or G call, small enough that the
 # passes over a block stay in cache.
@@ -159,40 +159,77 @@ _BLOCK_BYTES = 1 << 18
 
 
 @lru_cache(maxsize=16)
-def _node_plan(n_bits, frozen_set):
+def _node_plan(n_bits, frozen_set, rate1):
     """Data-independent SC node plan: the tree walk as a flat operation list.
 
     Walks depth-first (F, left subtree, G, right subtree, merge) and skips
     every rate-0 subtree together with the F or G that would feed it: its
     bits are 0 and its partial sums 0 whatever the LLRs.  An entry is (op,
-    stage, base) for the node of 2^stage bits at base.  _F and _G write the
-    child's LLRs to buffer stage-1; _G0 is a G whose left child is rate-0,
-    so its feedback is 0.  _LEAF decides bit base.  _MERGE XORs the right
-    child's partial sums into the left child's.
+    stage, base, skip) for the node of 2^stage bits at base.  _F and _G
+    write the child's LLRs to buffer stage-1; _G0 is a G whose left child is
+    rate-0, so its feedback is 0.  _LEAF decides bit base.  _MERGE XORs the
+    right child's partial sums into the left child's.
+
+    Two node kinds of stage >= 1 end the walk early (Alamdar-Yazdi and
+    Kschischang 2011; Sarkis et al. 2014), and both are exact:
+
+    * _REP, a node whose last bit is its only information bit.  Its _G0
+      chain down the right spine is the one the walk runs, and _REP then
+      decides that bit once and writes it to all the node's partial sums,
+      which is what the chain's leaf and merges would write.
+    * _RATE1, a node of information bits only, when rate1 is set.  With
+      min-sum F, a node whose LLRs hold no zero has partial sums equal to
+      their hard decisions (each F keeps the product of the signs, each G
+      the sign of its b), so _RATE1 writes those and jumps to entry skip,
+      past the node's ordinary subtree, which follows it for the batches
+      whose LLRs hold a zero.  That subtree's left child always inherits
+      the zero through F, so only its right children carry their own check.
+
+    rate1 must be False unless F is sign-exact, as _f_exact is not.
     """
     info_count = np.concatenate([[0], np.cumsum(~np.isin(np.arange(n_bits), frozen_set))])
     plan = []
 
-    def rate0(base, size):
-        return info_count[base + size] == info_count[base]
+    def info(base, size):
+        return info_count[base + size] - info_count[base]
 
-    def visit(stage, base):
+    def visit(stage, base, check):
+        size = 1 << stage
         if stage == 0:
-            plan.append((_LEAF, 0, base))
+            plan.append((_LEAF, 0, base, 0))
             return
-        half = 1 << (stage - 1)
-        left0, right0 = rate0(base, half), rate0(base + half, half)
+        if info(base, size) == 1 == info(base + size - 1, 1):
+            plan.extend((_G0, s, base + size - (1 << s), 0) for s in range(stage, 0, -1))
+            plan.append((_REP, stage, base, 0))
+            return
+        full = rate1 and info(base, size) == size
+        if full and check:
+            entry = len(plan)
+            plan.append(None)
+        half = size >> 1
+        left0, right0 = info(base, half) == 0, info(base + half, half) == 0
         if not left0:
-            plan.append((_F, stage, base))
-            visit(stage - 1, base)
+            plan.append((_F, stage, base, 0))
+            visit(stage - 1, base, not full)
         if not right0:
-            plan.append((_G0 if left0 else _G, stage, base))
-            visit(stage - 1, base + half)
-            plan.append((_MERGE, stage, base))
+            plan.append((_G0 if left0 else _G, stage, base, 0))
+            visit(stage - 1, base + half, True)
+            plan.append((_MERGE, stage, base, 0))
+        if full and check:
+            plan[entry] = (_RATE1, stage, base, len(plan))
 
-    if not rate0(0, n_bits):
-        visit(n_bits.bit_length() - 1, 0)
+    if info(0, n_bits):
+        visit(n_bits.bit_length() - 1, 0, True)
     return tuple(plan)
+
+
+def _rate1(alpha, out):
+    """The Rate-1 node rule: if alpha holds no zero (-0.0 is one), write the
+    hard decisions alpha < 0 to out and return True; else return False."""
+    if not alpha.all():
+        return False
+    np.less(alpha, 0, out=out)
+    return True
 
 
 def _sc_execute(llrs, spec, dtype, f, g):
@@ -205,19 +242,34 @@ def _sc_execute(llrs, spec, dtype, f, g):
     half-blocks, taken _BLOCK_BYTES at a time.  f(a, b, out, scratch) and
     g(a, b, bits, out) write into out; g gets bits None where the feedback
     is all zero.  Partial sums live in one (N, frames) array indexed by bit
-    position: each leaf writes its decision there and each merge XORs in
-    place, so after the root's merge it holds transform(u_hat).
+    position: each leaf writes its decision there, each _REP and taken
+    _RATE1 its node's sums, and each merge XORs in place, so after the
+    root's merge it holds transform(u_hat).  The plan has Rate-1 nodes only
+    for the min-sum F; each is decided for the whole batch at once, so one
+    zero in any frame's node LLRs runs the node's subtree for every frame.
     """
-    plan = _node_plan(spec.block_len, spec.frozen_set)
+    plan = _node_plan(spec.block_len, spec.frozen_set, f is _f_minsum)
     n_bits, frames = llrs.shape
     itemsize = np.dtype(dtype).itemsize
     block = 1 << max(0, (_BLOCK_BYTES // (itemsize * max(frames, 1))).bit_length() - 1)
     buffers = [np.empty((1 << s, frames), dtype) for s in range(spec.stages)] + [llrs]
     scratch = np.empty((min(block, n_bits), frames), dtype)
     sums = np.zeros((n_bits, frames), dtype=np.uint8)
-    for op, stage, base in plan:
+    index = 0
+    while index < len(plan):
+        op, stage, base, skip = plan[index]
+        index += 1
         if op == _LEAF:
             np.less(buffers[0][0], 0, out=sums[base])
+            continue
+        if op == _RATE1:
+            if _rate1(buffers[stage], sums[base : base + (1 << stage)]):
+                index = skip
+            continue
+        if op == _REP:
+            node = sums[base : base + (1 << stage)]
+            np.less(buffers[0][0], 0, out=node[0])
+            node[1:] = node[0]
             continue
         half = 1 << (stage - 1)
         if op == _MERGE:

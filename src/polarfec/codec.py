@@ -11,7 +11,7 @@ i.e. LLR = log(P(bit=0)/P(bit=1)).
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +55,14 @@ def _llr_frame(channel_llrs, spec):
         raise ValueError(f"expected {spec.block_len} LLRs, got {llrs.size}")
     _check_llr_magnitude(llrs, spec.block_len)
     return llrs
+
+
+def _as_int(name, value):
+    """value, an integer of any kind (numpy's too), as a Python int; anything
+    else, such as 5.0 or 5.5, raises ValueError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_bits(bits):
@@ -113,14 +121,19 @@ def f_exact(la, lb):
     """Exact log-domain combine of two LLRs (the check-node operation).
 
     Computes log((1 + e^(la+lb)) / (e^la + e^lb)) through the stable Jacobi
-    logarithm max(a, b) + log1p(exp(-|a - b|)).  The result never exceeds
-    min(|la|, |lb|) in magnitude and carries the sign of la*lb.
+    logarithm max(a, b) + log1p(exp(-|a - b|)).  In exact arithmetic the
+    result never exceeds min(|la|, |lb|) in magnitude and carries the sign
+    of la*lb; in floats the two logarithms cancel for small operands, so the
+    computed sign need not be that product's.
     """
     return _jacobi(la + lb, 0.0) - _jacobi(la, lb)
 
 
 def _jacobi(a, b):
-    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+    # numpy's exp and log1p, as batch._f_exact's: math's differ from them in
+    # the last bit for a few percent of arguments, which flipped decisions
+    # near ties.
+    return max(a, b) + float(np.log1p(np.exp(-abs(a - b))))
 
 
 def f_minsum(la, lb):

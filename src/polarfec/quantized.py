@@ -13,17 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import quantize_rows
-from .codec import DecodeResult, _llr_frame, _sc_recursion, f_minsum, g_func
+from .codec import DecodeResult, _as_int, _llr_frame, _sc_recursion, f_minsum, g_func
 
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Fixed-point format: Q total bits, of which fraction_bits are fractional."""
+    """Fixed-point format: Q total bits, of which fraction_bits are fractional.
+
+    Both are integers (numpy's too, held as Python ints); anything else,
+    such as 5.5, raises ValueError.
+    """
 
     total_bits_q: int
     fraction_bits: int = 1
 
     def __post_init__(self):
+        for name in ("total_bits_q", "fraction_bits"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         # The row decoder holds grid values in int32, and a G sum of two values
         # of magnitude up to 2^(Q-1) - 1 fits in int32 only for Q <= 31.
         if not (3 <= self.total_bits_q <= 31):

@@ -1,12 +1,16 @@
 """Monte-Carlo BER/FER sweep engine with deterministic block-keyed streams.
 
 Frame i of a point takes its randomness from row i % STREAM_FRAMES of one
-stream block: a counter-based Philox stream keyed by (point_seed,
-i // STREAM_FRAMES) that draws the block's messages and then its noise.  A
-sweep's outcome is therefore a pure function of its configuration: frames
-may be simulated in any order, in chunks of any size, or on any number of
-parallel workers without changing a single count.  Early stopping cuts at
-the exact frame where the requested number of frame errors is reached.
+stream block: the counter-based Philox stream Philox(key=[point_seed,
+i // STREAM_FRAMES]) that draws the block's messages and then its noise.
+That key is numpy's reading of the list, which is not always the pair
+itself: a point_seed of 2^63 or more turns the list into floats, and its
+key word is then point_seed rounded to a multiple of 2048 (see
+point_seed_for).  A sweep's outcome is a pure function of its
+configuration: frames may be simulated in any order, in chunks of any
+size, or on any number of parallel workers without changing a single
+count.  Early stopping cuts at the exact frame where the requested number
+of frame errors is reached.
 
 A chunk runs frame-minor, one frame per column, from its draws to its
 comparison, the layout the batch SC decoder works in: it encodes, adds the
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +35,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from . import batch, channel, reed_solomon
+from .codec import _as_int
 from .construction import CodeSpec, bhattacharyya_construct
 from .quantized import QuantSpec
 
@@ -64,7 +68,8 @@ class SweepConfig:
 
     Every input is checked, and the code resolved, when the config is built,
     so a bad config raises here rather than inside a pool worker.  The frame
-    counts and the seed are held as Python ints.
+    counts, the seed and a fixed decoder's quant_bits and frac_bits are
+    held as Python ints.
     """
 
     # Given as a CodeSpec, an (N, K) tuple (constructed here), or None; held
@@ -99,7 +104,9 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.decoder == "fixed":
-            QuantSpec(self.quant_bits, self.frac_bits)
+            qspec = QuantSpec(self.quant_bits, self.frac_bits)
+            object.__setattr__(self, "quant_bits", qspec.total_bits_q)
+            object.__setattr__(self, "frac_bits", qspec.fraction_bits)
         if self.decoder == "rs15_11":
             rs_shape = (reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS)
             if self.code is not None and (isinstance(self.code, CodeSpec) or tuple(self.code) != rs_shape):
@@ -159,14 +166,6 @@ class SweepPoint:
         return self.frame_errors < MIN_CONFIDENT_ERRORS
 
 
-def _as_int(name, value):
-    """value, an integer of any kind (numpy's too), as a Python int; anything
-    else raises ValueError."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
     """The per-frame random draws: message bits, then channel noise.
 
@@ -174,7 +173,9 @@ def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
     frame_index % STREAM_FRAMES of the stream block frame_index //
     STREAM_FRAMES, which is Generator(Philox(key=[point_seed, block])) drawing
     the block's STREAM_FRAMES messages and then its noise, row by row.  The
-    chunked engine draws the same blocks (_chunk_draws).
+    chunked engine draws the same blocks (_chunk_draws).  For point_seed >=
+    2^63 the key's first word is point_seed rounded to a multiple of 2048,
+    not point_seed (see point_seed_for).
     """
     block, row = divmod(frame_index, STREAM_FRAMES)
     gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
@@ -183,7 +184,16 @@ def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
 
 
 def point_seed_for(master_seed, point_index):
-    """64-bit stream key for one sweep point."""
+    """The seed of one sweep point: a 64-bit word of SeedSequence((master_seed,
+    point_index)).
+
+    It reaches Philox as the list key=[point_seed, block], and numpy turns a
+    list holding an integer of 2^63 or more into float64, whose spacing there
+    is 2048.  So for about half of all points the key's first word is
+    point_seed rounded to a multiple of 2048, and nearby seeds share streams:
+    2^63 + 1 and 2^63 + 2 draw the same frames.  Every pinned count rests on
+    these keys, so they stay as they are.
+    """
     ss = np.random.SeedSequence((int(master_seed), int(point_index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

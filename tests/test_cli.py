@@ -272,6 +272,17 @@ class TestSweepCommand:
         )
         assert code == 1 and "total_bits_q" in err
 
+    @pytest.mark.parametrize("flag, value", [("--quant-bits", "5.5"), ("--frac-bits", "1.5")])
+    def test_non_integer_fixed_format(self, flag, value, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--code", "16,11", "--decoder", "fixed", flag, value,
+            "--ebn0", "5:5:1", "--max-frames", "100",
+        )
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: argument {flag}: invalid int value: '{value}'"
+        ]
+
 
 class TestLatencyCommand:
     def test_table_numbers(self, capsys):

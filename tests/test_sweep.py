@@ -65,6 +65,21 @@ class TestFrameStreams:
         assert point_seed_for(42, 3) == point_seed_for(42, 3)
         assert point_seed_for(42, 3) != point_seed_for(42, 4)
 
+    def test_stream_key_rounds_seeds_from_2_63(self):
+        # numpy reads key=[seed, block] with seed >= 2^63 as float64, so the
+        # key word is the seed rounded to a multiple of 2048; every count pin
+        # rests on these keys.  About half of all point seeds are that large.
+        top = 1 << 63
+        assert np.random.Philox(key=[top + 1, 5]).state["state"]["key"].tolist() == [top, 5]
+        assert np.random.Philox(key=[top - 1, 5]).state["state"]["key"].tolist() == [top - 1, 5]
+        same = [frame_draws(seed, 300, 11, 16, 0.7) for seed in (top, top + 1, top + 2, top + 1023)]
+        for message, noise in same[1:]:
+            assert np.array_equal(message, same[0][0]) and np.array_equal(noise, same[0][1])
+        for seed in (top - 1, top + 2048):
+            assert not np.array_equal(frame_draws(seed, 300, 11, 16, 0.7)[1], same[0][1])
+        seeds = [point_seed_for(0, index) for index in range(64)]
+        assert 16 < sum(seed >= top for seed in seeds) < 48
+
     def test_single_frame_reproducible_in_isolation(self, spec16_11):
         # frame 1000 simulated alone equals frame 1000 inside a larger chunk
         from polarfec.sweep import _simulate_chunk
@@ -233,6 +248,16 @@ class TestConfig:
             SweepConfig(code=(16, 11), decoder="fixed", quant_bits=quant_bits, frac_bits=frac_bits)
         # other decoders ignore the quantizer fields
         SweepConfig(code=(16, 11), decoder="soft_minsum", quant_bits=quant_bits, frac_bits=frac_bits)
+
+    @pytest.mark.parametrize("field, value", [("quant_bits", 5.5), ("frac_bits", 1.5)])
+    def test_non_integer_fixed_format_rejected(self, field, value):
+        # quant_bits 5.5 built (label fixed_q5.5_f1) and died in run_sweep;
+        # frac_bits 1.5 ran on a 2^-1.5 grid
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepConfig(code=(16, 11), decoder="fixed", **{field: value})
+        config = SweepConfig(code=(16, 11), decoder="fixed", quant_bits=np.int64(5), frac_bits=np.int8(1))
+        assert config.decoder_label() == "fixed_q5_f1"
+        assert type(config.quant_bits) is type(config.frac_bits) is int
 
     def test_labels(self):
         config = SweepConfig(code=(16, 11), decoder="fixed", quant_bits=4, frac_bits=2)
