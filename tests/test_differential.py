@@ -11,6 +11,7 @@ require both its shortcut and its fallback to have run.
 """
 
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,11 +149,12 @@ def test_empty_and_single_row_batches(name):
 def test_plans_hold_both_node_kinds():
     # the harness's specs reach repetition nodes with and without Rate-1
     # nodes, and Rate-1 nodes whose own subtree nests further checks
-    kinds = {}
-    for spec in {case[0] for case in CASES}:
-        for rate1 in (False, True):
-            for op, *_ in batch._node_plan(spec.block_len, spec.frozen_set, rate1):
-                kinds[op, rate1] = kinds.get((op, rate1), 0) + 1
+    kinds = Counter(
+        (op, rate1)
+        for spec in {case[0] for case in CASES}
+        for rate1 in (False, True)
+        for op, *_ in batch._node_plan(spec.block_len, spec.frozen_set, rate1)
+    )
     assert kinds[batch._REP, False] == kinds[batch._REP, True] > 0
     assert (batch._RATE1, False) not in kinds and kinds[batch._RATE1, True] > 0
 

@@ -32,7 +32,9 @@ class TestQuantSpec:
         with pytest.raises(ValueError):
             QuantSpec(32, 1)  # a G sum of two grid values would overflow int32
 
-    @pytest.mark.parametrize("field, args", [("total_bits_q", (5.5, 1)), ("fraction_bits", (5, 1.5)), ("total_bits_q", (5.0, 1))])
+    @pytest.mark.parametrize(
+        "field, args", [("total_bits_q", (5.5, 1)), ("fraction_bits", (5, 1.5)), ("total_bits_q", (5.0, 1))]
+    )
     def test_non_integer_format_rejected(self, field, args):
         # 5.5 built and then failed in max_mag (1 << 4.5); a 1.5 fraction ran
         # on a grid step of 2^-1.5
