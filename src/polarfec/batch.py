@@ -8,11 +8,12 @@ node plan per frozen set, run by one executor over frame-minor buffers.
 
 The public functions take (frames, N) rows.  The sweep keeps each chunk
 frame-minor instead, one frame per column, from its draws to its error
-count: _encode_systematic and the butterfly run along axis 0, and the
-_*_columns decoders take (N, frames) LLRs and return x_hat =
+count, and the _*_columns decoders take (N, frames) LLRs and return x_hat =
 transform(u_hat), from which the sweep reads the information bits with no
 transpose and no re-encode.  decode_*_rows are adapters over them that
-transpose in and return u_hat = transform(x_hat).
+transpose in and return u_hat = transform(x_hat).  _encode_systematic takes
+either layout and encodes on frames packed 8 to a byte along the frame
+axis, so each of its XORs and ANDs covers 8 frames.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def butterfly(x, axis=-1):
     axis %= x.ndim
     n_bits = x.shape[axis]
     inner = math.prod(x.shape[axis + 1 :])  # elements per bit position
-    rows = x.reshape(-1, n_bits * inner)
+    rows = x.reshape(math.prod(x.shape[:axis]), n_bits * inner)
     xors = 0
     dist = 1
     if x.dtype == np.uint8 and x.nbytes >= _LANE_MIN_BYTES and (
@@ -68,7 +69,7 @@ def butterfly(x, axis=-1):
                 np.bitwise_xor(rows, shifted, out=rows)
                 xors += n_bits // 2
             dist = 8
-    width = n_bits * inner // rows.shape[1]  # elements of x per element of rows
+    width = rows.itemsize // x.itemsize  # elements of x per element of rows
     while dist < n_bits:
         unit = dist * inner // width
         pairs = rows.reshape(len(rows), n_bits // (2 * dist), 2, unit)
@@ -85,30 +86,57 @@ def transform_rows(bits):
     return x
 
 
+def _as_bit_array(bits):
+    """bits as a uint8 array of any shape, checked to hold only 0 and 1.
+
+    The check runs before the cast, which would truncate 0.6 to 0 and wrap
+    257 to 1; it is the one bit rule of codec._as_bits and
+    encode_systematic_rows.
+    """
+    arr = np.asarray(bits)
+    # Integer entries are all 0 or 1 exactly when their bitwise OR is.
+    if arr.dtype.kind in "biu":
+        binary = 0 <= np.bitwise_or.reduce(arr, axis=None) <= 1
+    else:
+        binary = ((arr == 0) | (arr == 1)).all()
+    if not binary:
+        raise ValueError("bit entries must be 0 or 1")
+    return np.asarray(arr, dtype=np.uint8)
+
+
 def encode_systematic_rows(messages, spec):
     """Row-wise two-pass systematic encoding of a (frames, K) message array."""
-    messages = np.asarray(messages, dtype=np.uint8)
+    messages = _as_bit_array(messages)
     if messages.ndim != 2 or messages.shape[1] != spec.info_len:
         raise ValueError(f"expected {spec.info_len} message bits per row, got shape {messages.shape}")
     return _encode_systematic(messages, spec, 1)
 
 
 def _encode_systematic(messages, spec, axis):
-    """Two-pass systematic encoding of a 2-D uint8 message array whose K bits
-    run along axis: 1 for (frames, K) rows, 0 for frame-minor (K, frames).
+    """Two-pass systematic encoding of a 2-D uint8 0/1 message array whose K
+    bits run along axis: 1 for (frames, K) rows, 0 for frame-minor (K,
+    frames).  Returns the uint8 codeword bits in the same layout.
 
-    The message is gathered onto info_set (np.take, several times faster
-    than a fancy-index scatter), and frozen positions are zeroed by an AND
-    with the info mask.
+    The frames are packed 8 to a byte along the frame axis (1 - axis), and
+    every step runs on the packed bytes: the message is gathered onto
+    info_set (np.take, several times faster than a fancy-index scatter),
+    both butterflies XOR whole bytes, and frozen positions are zeroed by an
+    AND with a 0xFF/0x00 byte mask (a bool mask would keep only the low
+    bit).  One unpack restores a bit per byte.  The entries are not
+    checked; encode_systematic_rows is the checked entry.
     """
+    frames = messages.shape[1 - axis]
     info_mask = ~spec.frozen_mask()
     source = np.maximum(np.cumsum(info_mask) - 1, 0)  # message bit of each info position
-    mask = info_mask if axis else info_mask[:, None]
-    x = np.take(messages, source, axis=axis) & mask
+    mask = np.where(info_mask, np.uint8(0xFF), np.uint8(0))
+    if not axis:
+        mask = mask[:, None]
+    x = np.take(np.packbits(messages, axis=1 - axis), source, axis=axis)
+    x &= mask
     butterfly(x, axis)
     x &= mask
     butterfly(x, axis)
-    return x
+    return np.unpackbits(x, axis=1 - axis, count=frames)
 
 
 def _check_llr_magnitude(llrs, n_bits):

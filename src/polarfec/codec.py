@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import _check_llr_magnitude, butterfly, encode_systematic_rows, hard_llr_rows
+from .batch import _as_bit_array, _check_llr_magnitude, butterfly, encode_systematic_rows, hard_llr_rows
 from .construction import is_power_of_two
 
 
@@ -66,18 +66,11 @@ def _as_int(name, value):
 
 
 def _as_bits(bits):
+    """One bit vector as uint8, checked by batch._as_bit_array's rule."""
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit vector must be one-dimensional")
-    # Checked before the cast, which would truncate 0.6 to 0 and wrap 257 to 1.
-    # Integer entries are all 0 or 1 exactly when their bitwise OR is.
-    if arr.dtype.kind in "biu":
-        binary = 0 <= np.bitwise_or.reduce(arr) <= 1
-    else:
-        binary = ((arr == 0) | (arr == 1)).all()
-    if not binary:
-        raise ValueError("bit vector entries must be 0 or 1")
-    return np.asarray(arr, dtype=np.uint8)
+    return _as_bit_array(arr)
 
 
 def encode_nonsystematic(u_full, return_xor_count=False):

@@ -72,8 +72,8 @@ class SweepConfig:
     held as Python ints.
     """
 
-    # Given as a CodeSpec, an (N, K) tuple (constructed here), or None; held
-    # as the CodeSpec for polar decoders and None for rs15_11.
+    # Given as a CodeSpec, an (N, K) pair of integers (constructed here), or
+    # None; held as the CodeSpec for polar decoders and None for rs15_11.
     code: object = None
     decoder: str = "soft_minsum"
     ebn0_start: float = 0.0
@@ -107,16 +107,18 @@ class SweepConfig:
             qspec = QuantSpec(self.quant_bits, self.frac_bits)
             object.__setattr__(self, "quant_bits", qspec.total_bits_q)
             object.__setattr__(self, "frac_bits", qspec.fraction_bits)
+        code = self.code
+        if code is not None and not isinstance(code, CodeSpec):
+            n, k = code
+            code = (_as_int("code N", n), _as_int("code K", k))
         if self.decoder == "rs15_11":
-            rs_shape = (reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS)
-            if self.code is not None and (isinstance(self.code, CodeSpec) or tuple(self.code) != rs_shape):
+            if code is not None and code != (reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS):
                 raise ValueError("rs15_11 requires code (15, 11) or none")
             object.__setattr__(self, "code", None)
-        elif self.code is None:
+        elif code is None:
             raise ValueError(f"decoder {self.decoder} requires a code")
-        elif not isinstance(self.code, CodeSpec):
-            n, k = self.code
-            object.__setattr__(self, "code", bhattacharyya_construct(int(n), int(k)))
+        elif not isinstance(code, CodeSpec):
+            object.__setattr__(self, "code", bhattacharyya_construct(*code))
         # Sigma falls as Eb/N0 rises, so the grid's ends bound every point's.
         points = self.ebn0_points()
         _, channel_bits, rate = _frame_shape(self)
@@ -215,17 +217,27 @@ def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma):
     Each stream block the chunk touches draws its messages, then its noise
     up to the last row the chunk uses into one STREAM_FRAMES-row scratch;
     sigma * standard normal equals gen.normal(0, sigma) bit for bit.  The
-    rows used are written transposed, a block at a time.
+    rows used are written transposed, a block at a time.  One Philox serves
+    the chunk: it is built from numpy's own reading of key=[point_seed,
+    first block], seeds of 2^63 and more included, and each block restores
+    that fresh state (counter 0, empty buffer) with key word 1 set to the
+    block, which draws what Philox(key=[point_seed, block]) draws at a
+    fraction of its build cost.
     """
     messages = np.empty((payload_bits, count), dtype=np.uint8)
     noise = np.empty((channel_bits, count))
     scratch = np.empty((STREAM_FRAMES, channel_bits))
     stop = start + count
-    for block in range(start // STREAM_FRAMES, -(-stop // STREAM_FRAMES)):
+    first_block = start // STREAM_FRAMES
+    bit_generator = np.random.Philox(key=[point_seed, first_block])
+    gen = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    for block in range(first_block, -(-stop // STREAM_FRAMES)):
         first = block * STREAM_FRAMES
         lo, hi = max(start, first) - first, min(stop, first + STREAM_FRAMES) - first
         columns = slice(first + lo - start, first + hi - start)
-        gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
+        fresh["state"]["key"][1] = block
+        bit_generator.state = fresh
         block_messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
         messages[:, columns] = block_messages[lo:hi].T
         gen.standard_normal(out=scratch[:hi])

@@ -36,6 +36,25 @@ def matrix_encode(u):
     return (u @ kron_generator_matrix(len(u))) % 2
 
 
+def systematic_matrix_encode(messages, spec):
+    """Systematic codewords of (frames, K) messages from the generator matrix.
+
+    Solves u_A G_AA = m over GF(2) for the information part u_A of the
+    source (u is zero on the frozen set).  G[i, j] = 1 needs j <= i, so G_AA
+    is unit lower triangular and the solve runs from the last information
+    index down; the codewords are then u G.  No butterfly and no two-pass
+    encoder is involved.
+    """
+    info = list(spec.info_set)
+    g = kron_generator_matrix(spec.block_len).astype(float)
+    g_aa = g[np.ix_(info, info)]
+    messages = np.asarray(messages, dtype=float)
+    u_info = np.zeros_like(messages)
+    for col in reversed(range(len(info))):
+        u_info[:, col] = (messages[:, col] + u_info[:, col + 1 :] @ g_aa[col + 1 :, col]) % 2
+    return ((u_info @ g[info]) % 2).astype(np.uint8)
+
+
 def bhattacharyya_digit_fold(index, stages, z0):
     """Reliability of one synthetic channel by folding over the index bits,
     most significant first: 0 -> degraded 2z - z^2, 1 -> upgraded z^2."""

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from polarfec import CodeSpec, QuantSpec, bhattacharyya_construct, quantize, sc_decode, sc_decode_fixed
 from polarfec.batch import (
+    _encode_systematic,
     butterfly,
     decode_exact_rows,
     decode_fixed_rows,
@@ -36,6 +37,39 @@ def test_encode_systematic_rows_matches_scalar(spec8_5, spec16_11, rng):
     rows = encode_systematic_rows(msgs, spec16_11)
     for i in range(5):
         assert np.array_equal(rows[i], oracles.solve_systematic_bruteforce(msgs[i], spec16_11))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (8, 5), (16, 11), (32, 32), (128, 96), (1024, 512)])
+@pytest.mark.parametrize("frames", [0, 1, 7, 8, 9, 65, 520])
+def test_packed_encode_matches_generator_matrix(shape, frames, rng):
+    # frames are packed 8 to a byte, so counts off a multiple of 8 exercise
+    # the pad; (2, 2) and (32, 32) are all-info specs
+    spec = bhattacharyya_construct(*shape)
+    messages = rng.integers(0, 2, (frames, spec.info_len), dtype=np.uint8)
+    expected = oracles.systematic_matrix_encode(messages, spec)
+    rows = _encode_systematic(messages, spec, 1)
+    columns = _encode_systematic(np.ascontiguousarray(messages.T), spec, 0)
+    assert rows.dtype == columns.dtype == np.uint8
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(columns, expected.T)
+
+
+@pytest.mark.parametrize("bad", [2, 0.6, -1, 257, float("nan")])
+def test_encode_systematic_rows_rejects_non_binary(bad, spec16_11):
+    # a cast to uint8, or packing, would read 2 and 0.6 as a bit
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        encode_systematic_rows(np.full((1, 11), bad), spec16_11)
+    messages = np.zeros((3, 11))
+    messages[1, 4] = bad
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        encode_systematic_rows(messages, spec16_11)
+
+
+def test_encode_systematic_rows_accepts_bool_and_whole_floats(spec16_11, rng):
+    messages = rng.integers(0, 2, (9, 11), dtype=np.uint8)
+    expected = encode_systematic_rows(messages, spec16_11)
+    assert np.array_equal(encode_systematic_rows(messages.astype(bool), spec16_11), expected)
+    assert np.array_equal(encode_systematic_rows(messages.astype(float), spec16_11), expected)
 
 
 @pytest.mark.parametrize("n_bits", [1, 2, 4, 8, 64])
@@ -183,10 +217,11 @@ def test_rows_reject_llrs_whose_n_fold_sum_overflows(decode, spec16_11):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("frames", [1, 5, 8, 64])
+@pytest.mark.parametrize("frames", [0, 1, 5, 8, 64])
 def test_butterfly_along_either_axis(axis, frames, rng):
     # frame-minor (N, frames) arrays transform along axis 0, on lanes when
-    # the frames are a multiple of 8 and the array is large enough
+    # the frames are a multiple of 8 and the array is large enough; an
+    # (N, 0) array has nothing to transform but still counts its XORs
     for n_bits in (1, 2, 16, 64):
         bits = rng.integers(0, 2, (frames, n_bits)).astype(np.uint8)
         x = bits.T.copy() if axis == 0 else bits.copy()

@@ -56,6 +56,19 @@ class TestFrameStreams:
                 assert np.array_equal(messages[:, column], message)
                 assert np.array_equal(noise[:, column], frame_noise)
 
+    def test_rekeyed_chunk_matches_reference_above_2_63(self):
+        # one Philox per chunk, re-keyed per block, keeps numpy's rounding
+        # of seeds from 2^63 (this one reads as a multiple of 2048): a chunk
+        # that starts and ends mid-block across four blocks is still the
+        # reference frames, column for column
+        seed = (1 << 63) + 3 * 2048 + 700
+        start, stop = 2 * STREAM_FRAMES + 100, 5 * STREAM_FRAMES + 37
+        messages, noise = sweep_module._chunk_draws(seed, start, stop - start, 11, 16, 0.7)
+        for column, frame in enumerate(range(start, stop)):
+            message, frame_noise = frame_draws(seed, frame, 11, 16, 0.7)
+            assert np.array_equal(messages[:, column], message)
+            assert np.array_equal(noise[:, column], frame_noise)
+
     def test_frame_draws_reproducible(self):
         a = frame_draws(7, 99, 11, 16, 0.5)
         b = frame_draws(7, 99, 11, 16, 0.5)
@@ -175,6 +188,18 @@ class TestConfig:
     def test_rs_accepts_its_shape(self):
         assert SweepConfig(code=(15, 11), decoder="rs15_11").code is None
         assert SweepConfig(code=None, decoder="rs15_11").code is None
+
+    @pytest.mark.parametrize("code", [(16.0, 11.7), (16.0, 11), (16, 11.0), (15.0, 11), (15, 11.5)])
+    @pytest.mark.parametrize("decoder", ["soft_minsum", "rs15_11"])
+    def test_non_integer_code_rejected(self, code, decoder):
+        # (16.0, 11.7) was truncated through int() and built a (16,11) code
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepConfig(code=code, decoder=decoder)
+
+    def test_numpy_integer_code_accepted(self, spec16_11):
+        assert SweepConfig(code=(np.int64(16), np.uint8(11))).code == spec16_11
+        assert SweepConfig(code=np.array([16, 11])).code == spec16_11
+        assert SweepConfig(code=(np.int32(15), np.int64(11)), decoder="rs15_11").code is None
 
     def test_polar_requires_code(self):
         with pytest.raises(ValueError, match="requires a code"):
