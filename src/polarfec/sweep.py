@@ -109,7 +109,10 @@ class SweepConfig:
             object.__setattr__(self, "frac_bits", qspec.fraction_bits)
         code = self.code
         if code is not None and not isinstance(code, CodeSpec):
-            n, k = code
+            try:
+                n, k = code
+            except (TypeError, ValueError):
+                raise ValueError(f"code must be a CodeSpec or an (N, K) pair, got {code!r}") from None
             code = (_as_int("code N", n), _as_int("code K", k))
         if self.decoder == "rs15_11":
             if code is not None and code != (reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS):

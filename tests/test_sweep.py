@@ -196,6 +196,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             SweepConfig(code=code, decoder=decoder)
 
+    @pytest.mark.parametrize("code", [16, (16,), (16, 11, 1), "16,11"])
+    def test_code_that_is_not_a_pair_rejected(self, code):
+        # an int raised TypeError from the unpack, not ValueError
+        with pytest.raises(ValueError, match="code must be a CodeSpec or an"):
+            SweepConfig(code=code)
+
     def test_numpy_integer_code_accepted(self, spec16_11):
         assert SweepConfig(code=(np.int64(16), np.uint8(11))).code == spec16_11
         assert SweepConfig(code=np.array([16, 11])).code == spec16_11
