@@ -14,10 +14,10 @@ import numpy as np
 from . import architecture, codec, quantized, sweep as sweep_mod
 from .construction import (
     ConstructionParams,
+    _check_exact_encoding,
     bhattacharyya_construct,
     parse_spec_text,
     to_spec_text,
-    validate_domination,
 )
 
 USAGE_EXIT = 1
@@ -48,11 +48,10 @@ def _load_spec(args):
     if args.spec_file:
         with open(args.spec_file) as fh:
             spec = parse_spec_text(fh.read())
-        if not validate_domination(spec):
-            raise ValueError(
-                f"{args.spec_file}: two-pass systematic encoding is not exact for this frozen set"
-            )
-        return spec
+        try:
+            return _check_exact_encoding(spec)
+        except ValueError as exc:
+            raise ValueError(f"{args.spec_file}: {exc}") from None
     if args.code:
         n, k = _parse_code(args.code)
         return bhattacharyya_construct(n, k, ConstructionParams(args.design_z0))

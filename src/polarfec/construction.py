@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,19 +140,30 @@ def bhattacharyya_construct(n_bits, k_info, params=None):
     return CodeSpec(n_bits, k_info, frozen, info)
 
 
+@lru_cache(maxsize=64)
 def validate_domination(spec):
     """Check that two-pass systematic encoding is exact for this code.
 
     Exact means every codeword carries its message verbatim on info_set and
     its transform is zero on frozen_set.  The encoder is GF(2)-linear, so it
     is exact for all 2^K messages if and only if it is exact for the K unit
-    messages, which are encoded here as one batch.
+    messages, which are encoded here as one batch.  The verdict is cached
+    per CodeSpec (frozen, so hashable): a (1024,512) check takes several ms.
     """
     identity = np.eye(spec.info_len, dtype=np.uint8)
     codewords = encode_systematic_rows(identity, spec)
     if not np.array_equal(codewords[:, list(spec.info_set)], identity):
         return False
     return not transform_rows(codewords)[:, list(spec.frozen_set)].any()
+
+
+def _check_exact_encoding(spec):
+    """spec, if two-pass systematic encoding is exact for it
+    (validate_domination); ValueError otherwise.  The one rule for a code a
+    sweep or the CLI is given."""
+    if not validate_domination(spec):
+        raise ValueError("two-pass systematic encoding is not exact for this frozen set")
+    return spec
 
 
 def to_spec_text(spec):

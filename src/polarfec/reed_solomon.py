@@ -5,6 +5,16 @@ narrow-sense with generator (x - a)(x - a^2)(x - a^3)(x - a^4), systematic
 (11 information symbols followed by 4 parity symbols), correcting up to two
 symbol errors.  Codewords are lists of symbols in descending polynomial
 order: received[i] is the coefficient of x^(14-i).
+
+Every GF(16) kernel runs on words packed two symbols to a byte, as
+np.packbits packs their MSB-first bits: symbol 2j in the high nibble of
+byte j, and a zero pad nibble after the 11 info or the 15 code symbols.
+Encoding and syndromes are one GF(16)-linear map, a gather per byte from a
+(bytes, 256) table and an XOR, and decoding reads a table of packed info
+corrections indexed by the syndrome.  The symbol-row API (rs_*_rows), the
+scalar rs_encode and rs_syndromes and the sweep, which packs its bits
+directly, all run these kernels; the symbol calls pack and unpack around
+them.
 """
 
 from __future__ import annotations
@@ -13,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .batch import _as_bit_array
 
 FIELD_POLY = 0x13  # x^4 + x + 1
 N_SYMBOLS = 15
@@ -70,34 +82,57 @@ def _compute_generator():
 # (x-a)(x-a^2)(x-a^3)(x-a^4) = x^4 + 13x^3 + 12x^2 + 8x + 7
 GENERATOR_POLY = _compute_generator()
 
-_NIBBLE_SHIFTS = 4 * np.arange(N_PARITY)
 _GF16_MUL = np.array([[gf16_mul(a, b) for b in range(16)] for a in range(16)], dtype=np.uint8)
+# A map's output c sits in nibble 3 - c of a uint16, so its big-endian bits
+# are the output symbols in order, MSB first, as np.packbits would pack them.
+_OUTPUT_SHIFTS = np.arange(4 * (N_PARITY - 1), -1, -4, dtype=np.uint16)
+# Bytes of a packed word of K_SYMBOLS and of N_SYMBOLS symbols.
+_INFO_BYTES = -(-K_SYMBOLS // 2)
+_CODE_BYTES = -(-N_SYMBOLS // 2)
+
+
+def _pack_symbols(symbols):
+    """Symbol rows (..., n) as (..., ceil(n/2)) bytes, two symbols a byte in
+    np.packbits order: symbol 2j in the high nibble of byte j, and a zero
+    pad nibble after an odd n.  The symbols are not checked."""
+    syms = np.asarray(symbols, dtype=np.uint8)
+    n = syms.shape[-1]
+    packed = np.zeros((*syms.shape[:-1], -(-n // 2)), dtype=np.uint8)
+    np.left_shift(syms[..., 0::2], 4, out=packed)
+    packed[..., : n // 2] |= syms[..., 1::2]
+    return packed
+
+
+def _unpack_symbols(packed, n):
+    """The first n symbols of packed rows; the inverse of _pack_symbols."""
+    symbols = np.empty((*packed.shape[:-1], 2 * packed.shape[-1]), dtype=np.uint8)
+    np.right_shift(packed, 4, out=symbols[..., 0::2])
+    np.bitwise_and(packed, 15, out=symbols[..., 1::2])
+    return symbols[..., :n]
 
 
 def _gf16_map_table(matrix):
-    """Flat product table of a GF(16) matrix M of shape (P, N_PARITY).
+    """Byte table of the GF(16)-linear map by a matrix M of shape (P, N_PARITY).
 
-    Entry p*16 + s packs the row s * M[p], one symbol per nibble, so that a
-    gather plus one XOR-reduce over positions evaluates all outputs at once.
+    Entry [j, v] is the map of the packed byte v at byte j, that is of
+    symbol v >> 4 at position 2j and v & 15 at position 2j + 1, with output
+    c in nibble 3 - c of a uint16.  A pad position past P maps to 0, so a
+    row's map is the XOR over its bytes of one gather each.
     """
     m = np.asarray(matrix)
-    products = _GF16_MUL[:, m].transpose(1, 0, 2).reshape(-1, N_PARITY).astype(np.int64)
-    return np.bitwise_or.reduce(products << _NIBBLE_SHIFTS, axis=1)
+    m = np.concatenate([m, np.zeros((len(m) % 2, N_PARITY), dtype=m.dtype)])
+    per_symbol = np.bitwise_or.reduce(_GF16_MUL[:, m].astype(np.uint16) << _OUTPUT_SHIFTS, axis=-1)
+    high, low = per_symbol[:, 0::2], per_symbol[:, 1::2]  # (16, bytes): value, byte
+    return np.ascontiguousarray((high[:, None] ^ low[None, :]).reshape(256, -1).T)
 
 
-def _gf16_map_packed(rows, table):
-    """GF(16)-linear map of symbol rows, output c in nibble c of one int64."""
-    rows = np.asarray(rows, dtype=np.intp)
-    return np.bitwise_xor.reduce(table[rows + 16 * np.arange(rows.shape[-1])], axis=-1)
-
-
-def _gf16_map(rows, table):
-    """GF(16)-linear map of symbol rows: out[c] = XOR over p of row[p] * M[p, c].
-
-    Returns an int64 array of shape (..., N_PARITY).
-    """
-    packed = _gf16_map_packed(rows, table)
-    return (packed[..., None] >> _NIBBLE_SHIFTS) & 15
+def _gf16_map_packed(packed, table):
+    """GF(16)-linear map of packed symbol rows (..., bytes): a uint16 per row
+    with output c in nibble 3 - c."""
+    out = table[0][packed[..., 0]]
+    for j in range(1, len(table)):
+        out ^= table[j][packed[..., j]]
+    return out
 
 
 def _parity_rows():
@@ -134,12 +169,14 @@ class RsDecodeResult:
     failure: bool
 
 
-def _check_symbol_rows(rows, expected_len, one_word=False):
-    """The rows as an array, checked for row length, for being a single row
-    when one_word is set, and, before any cast, to be integers in [0, 15]."""
+def _check_symbol_rows(rows, expected_len=None, one_word=False):
+    """The rows as an array, checked for row length (any, when expected_len
+    is None), for being a single row when one_word is set, and, before any
+    cast, to be integers in [0, 15]."""
     arr = np.asarray(rows)
-    if arr.ndim < 1 or arr.shape[-1] != expected_len or (one_word and arr.ndim != 1):
-        raise ValueError(f"expected {expected_len} symbols per row, got shape {arr.shape}")
+    if arr.ndim < 1 or expected_len not in (None, arr.shape[-1]) or (one_word and arr.ndim != 1):
+        wanted = "rows of" if expected_len is None else f"{expected_len}"
+        raise ValueError(f"expected {wanted} symbols per row, got shape {arr.shape}")
     if arr.size and not (
         0 <= arr.min() and arr.max() <= 15 and (arr.dtype.kind != "f" or not (arr % 1).any())
     ):
@@ -268,70 +305,108 @@ def _forney_correct(word, synd, locator, positions):
 def rs_encode_rows(info_rows):
     """Row-wise systematic encoding of a (frames, 11) symbol array.
 
-    Matches rs_encode on every row; used by the Monte-Carlo engine.
+    Matches rs_encode on every row; the rows are packed and run through
+    _encode_packed, the sweep's encoder.
     """
-    info = np.asarray(_check_symbol_rows(info_rows, K_SYMBOLS), dtype=np.uint8)
-    return np.concatenate([info, _gf16_map(info, _PARITY_TABLE).astype(np.uint8)], axis=-1)
+    info = _check_symbol_rows(info_rows, K_SYMBOLS)
+    return _unpack_symbols(_encode_packed(_pack_symbols(info)), N_SYMBOLS)
 
 
 def rs_syndromes_rows(received_rows):
     """Row-wise syndromes of a (frames, 15) symbol array, shape (frames, 4)."""
-    return _gf16_map(_check_symbol_rows(received_rows, N_SYMBOLS), _SYNDROME_TABLE)
-
-
-@lru_cache(maxsize=1)
-def _syndrome_decoder():
-    """Info-part correction and failure flag for each packed syndrome S1..S4.
-
-    A bounded-distance t=2 decoder succeeds exactly when the syndrome is that
-    of an error pattern of weight <= 2, which distance 5 makes unique; every
-    other syndrome fails and passes the received info through unchanged.
-    """
-    # Info parts of the weight-1 patterns, value v at position p in row
-    # 15p + v - 1 (all zero for a parity position).  Entry 16p + v of the
-    # syndrome table is the syndrome of that pattern, and a weight-2
-    # pattern's syndrome is the XOR of its two parts' syndromes.
-    values = np.arange(1, 16, dtype=np.uint8)
-    unit = np.eye(N_SYMBOLS, K_SYMBOLS, dtype=np.uint8)
-    info = (unit[:, None, :] * values[None, :, None]).reshape(-1, K_SYMBOLS)
-    syndrome = _SYNDROME_TABLE.reshape(N_SYMBOLS, 16)[:, 1:].ravel()
-    position = np.repeat(np.arange(N_SYMBOLS), values.size)
-    first, second = np.nonzero(position[:, None] < position[None, :])
-    index = np.concatenate([[0], syndrome, syndrome[first] ^ syndrome[second]])
-    error = np.concatenate([np.zeros((1, K_SYMBOLS), dtype=np.uint8), info, info[first] ^ info[second]])
-
-    correction = np.zeros((16**N_PARITY, K_SYMBOLS), dtype=np.uint8)
-    failure = np.ones(16**N_PARITY, dtype=bool)
-    correction[index] = error
-    failure[index] = False
-    return correction, failure
+    received = _check_symbol_rows(received_rows, N_SYMBOLS)
+    syndromes = _gf16_map_packed(_pack_symbols(received), _SYNDROME_TABLE)
+    return ((syndromes[..., None] >> _OUTPUT_SHIFTS) & 15).astype(np.uint8)
 
 
 def rs_decode_rows(received_rows):
     """Row-wise rs_decode of a (frames, 15) symbol array.
 
     Returns (info, failure): a (frames, 11) uint8 array and a (frames,) bool
-    array, equal row by row to rs_decode's info and failure.  Decoding reads
-    the syndrome's entry in a table of the weight <= 2 error patterns.
+    array, equal row by row to rs_decode's info and failure.  The rows are
+    packed and run through _decode_packed, the sweep's decoder.
     """
-    received = np.asarray(_check_symbol_rows(received_rows, N_SYMBOLS), dtype=np.uint8)
+    received = _check_symbol_rows(received_rows, N_SYMBOLS)
+    info, failure = _decode_packed(_pack_symbols(received))
+    return _unpack_symbols(info, K_SYMBOLS), failure
+
+
+def _encode_packed(info):
+    """Packed codewords (..., _CODE_BYTES) of packed info rows (..., _INFO_BYTES)
+    whose pad nibble is 0; the codewords' pad nibble is 0 too.  The rows are
+    not checked.
+
+    The parity map's uint16 holds p0 p1 p2 p3 from its top nibble down, and
+    the codeword places them after the 11th info symbol: p0 in the low
+    nibble of the last info byte, then p1 p2, then p3 and the pad.
+    """
+    parity = _gf16_map_packed(info, _PARITY_TABLE)
+    code = np.zeros((*info.shape[:-1], _CODE_BYTES), dtype=np.uint8)
+    code[..., :_INFO_BYTES] = info
+    code[..., _INFO_BYTES - 1] |= (parity >> 12).astype(np.uint8)
+    code[..., _INFO_BYTES] = parity >> 4  # the assignment keeps the low byte
+    code[..., _INFO_BYTES + 1] = parity << 4
+    return code
+
+
+@lru_cache(maxsize=1)
+def _syndrome_decoder():
+    """Packed info-part correction and failure flag for each syndrome, indexed
+    by the syndrome map's uint16.
+
+    A bounded-distance t=2 decoder succeeds exactly when the syndrome is that
+    of an error pattern of weight <= 2, which distance 5 makes unique; every
+    other syndrome fails and passes the received info through unchanged.
+    """
+    # The weight-1 patterns, value v at position p in row 15p + v - 1, their
+    # syndromes and their packed info parts (zero for a parity position).  A
+    # weight-2 pattern's syndrome and info part are the XORs of its two parts'.
+    values = np.arange(1, 16, dtype=np.uint8)
+    unit = (np.eye(N_SYMBOLS, dtype=np.uint8)[:, None, :] * values[None, :, None]).reshape(-1, N_SYMBOLS)
+    syndrome = _gf16_map_packed(_pack_symbols(unit), _SYNDROME_TABLE)
+    info = _pack_symbols(unit[:, :K_SYMBOLS])
+    position = np.repeat(np.arange(N_SYMBOLS), values.size)
+    first, second = np.nonzero(position[:, None] < position[None, :])
+    index = np.concatenate([[0], syndrome, syndrome[first] ^ syndrome[second]])
+    error = np.concatenate([np.zeros((1, _INFO_BYTES), dtype=np.uint8), info, info[first] ^ info[second]])
+
+    correction = np.zeros((16**N_PARITY, _INFO_BYTES), dtype=np.uint8)
+    failure = np.ones(16**N_PARITY, dtype=bool)
+    correction[index] = error
+    failure[index] = False
+    return correction, failure
+
+
+def _decode_packed(received):
+    """Bounded-distance decode of packed received rows (..., _CODE_BYTES).
+
+    Returns (info, failure): the packed decoded info rows (..., _INFO_BYTES),
+    pad nibble 0, and the failure flags.  The syndrome's entry in the table
+    of the weight <= 2 error patterns is XORed onto the received info.  The
+    rows are not checked.
+    """
     correction, failure = _syndrome_decoder()
     index = _gf16_map_packed(received, _SYNDROME_TABLE)
-    return received[..., :K_SYMBOLS] ^ correction[index], failure[index]
+    info = received[..., :_INFO_BYTES] ^ correction[index]
+    info[..., -1] &= 0xF0  # the pad nibble held the first parity symbol
+    return info, failure[index]
 
 
 def symbols_to_bits(symbols):
-    """Unpack GF(16) symbols into bits, most significant bit first."""
-    syms = np.asarray(symbols, dtype=np.uint8)
-    shifts = np.array([3, 2, 1, 0], dtype=np.uint8)
-    return ((syms[..., None] >> shifts) & 1).reshape(*syms.shape[:-1], -1)
+    """Unpack GF(16) symbol rows into bits, most significant bit first.
+
+    The symbols must be integers in [0, 15], checked before any cast.
+    """
+    syms = _check_symbol_rows(symbols)
+    return np.unpackbits(_pack_symbols(syms), axis=-1, count=BITS_PER_SYMBOL * syms.shape[-1])
 
 
 def bits_to_symbols(bits):
-    """Pack bits (MSB first, groups of four) into GF(16) symbols."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.shape[-1] % BITS_PER_SYMBOL:
+    """Pack bit rows (MSB first, groups of four) into GF(16) symbols.
+
+    The bits must be 0 or 1, checked before any cast (batch's bit rule).
+    """
+    arr = _as_bit_array(bits)
+    if arr.ndim < 1 or arr.shape[-1] % BITS_PER_SYMBOL:
         raise ValueError("bit count must be a multiple of 4")
-    grouped = arr.reshape(*arr.shape[:-1], -1, BITS_PER_SYMBOL)
-    weights = np.array([8, 4, 2, 1], dtype=np.uint8)
-    return (grouped * weights).sum(axis=-1).astype(np.uint8)
+    return _unpack_symbols(np.packbits(arr, axis=-1), arr.shape[-1] // BITS_PER_SYMBOL)

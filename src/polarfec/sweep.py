@@ -12,13 +12,18 @@ size, or on any number of parallel workers without changing a single
 count.  Early stopping cuts at the exact frame where the requested number
 of frame errors is reached.
 
-A chunk runs frame-minor, one frame per column, from its draws to its
-comparison, the layout the batch SC decoder works in: it encodes, adds the
-BPSK symbols into its noise and scales that to LLRs in place (or slices
-it), each step a polarfec.channel rule, decodes to x_hat, and compares
-x_hat's information rows with the messages.  It returns only its error
-frames, as (count, offsets, bit-error counts), and _reduce_point cuts on
-the offsets.
+A polar chunk runs frame-minor, one frame per column, from its draws to
+its comparison, the layout the batch SC decoder works in: it encodes, adds
+the BPSK symbols into its noise and scales that to LLRs in place (or
+slices it), each step a polarfec.channel rule, decodes to x_hat, and
+compares x_hat's information rows with the messages.  An RS(15,11) chunk
+runs in rows, one frame per row, on bytes of two GF(16) symbols (np.packbits
+of the bits): it encodes its packed messages, unpacks the code bytes to
+channel bits, adds their BPSK symbols into its noise and slices it, packs
+the sliced bits, decodes them through the syndrome table and counts the
+bits in which the decoded info bytes differ from the messages.  A chunk
+returns only its error frames, as (count, offsets, bit-error counts), and
+_reduce_point cuts on the offsets.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import batch, channel, reed_solomon
 from .codec import _as_int
-from .construction import CodeSpec, bhattacharyya_construct
+from .construction import CodeSpec, _check_exact_encoding, bhattacharyya_construct
 from .quantized import QuantSpec
 
 DECODERS = ("soft_exact", "soft_minsum", "hard", "fixed", "rs15_11")
@@ -48,6 +53,9 @@ CHUNK_FRAMES = 4096
 
 # Most Eb/N0 points one sweep grid may hold.
 MAX_EBN0_POINTS = 10_000
+
+# Set bits of each byte value (np.bitwise_count needs numpy 2).
+_BYTE_WEIGHTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.intp)
 
 # Confidence floor: points with fewer frame errors are flagged, not trusted.
 MIN_CONFIDENT_ERRORS = 20
@@ -73,7 +81,8 @@ class SweepConfig:
     """
 
     # Given as a CodeSpec, an (N, K) pair of integers (constructed here), or
-    # None; held as the CodeSpec for polar decoders and None for rs15_11.
+    # None; held as the CodeSpec for polar decoders, which must make two-pass
+    # systematic encoding exact, and None for rs15_11.
     code: object = None
     decoder: str = "soft_minsum"
     ebn0_start: float = 0.0
@@ -120,8 +129,10 @@ class SweepConfig:
             object.__setattr__(self, "code", None)
         elif code is None:
             raise ValueError(f"decoder {self.decoder} requires a code")
-        elif not isinstance(code, CodeSpec):
-            object.__setattr__(self, "code", bhattacharyya_construct(*code))
+        else:
+            if not isinstance(code, CodeSpec):
+                code = bhattacharyya_construct(*code)
+            object.__setattr__(self, "code", _check_exact_encoding(code))
         # Sigma falls as Eb/N0 rises, so the grid's ends bound every point's.
         points = self.ebn0_points()
         _, channel_bits, rate = _frame_shape(self)
@@ -212,23 +223,25 @@ def _frame_shape(config):
     return payload, chan, payload / chan
 
 
-def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma):
-    """The draws of frames [start, start+count) of a point, frame-minor:
-    column j of the (payload_bits, count) messages and of the (channel_bits,
-    count) noise is frame_draws(point_seed, start + j, ...).
+def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, axis):
+    """The draws of frames [start, start+count) of a point, in the layout
+    batch._encode_systematic names by axis, the axis a frame's bits run
+    along: 0 for frame-minor (bits, count) arrays, 1 for (count, bits) rows.
+    Frame j of the messages and of the noise is frame_draws(point_seed,
+    start + j, ...).
 
     Each stream block the chunk touches draws its messages, then its noise
     up to the last row the chunk uses into one STREAM_FRAMES-row scratch;
     sigma * standard normal equals gen.normal(0, sigma) bit for bit.  The
-    rows used are written transposed, a block at a time.  One Philox serves
-    the chunk: it is built from numpy's own reading of key=[point_seed,
-    first block], seeds of 2^63 and more included, and each block restores
-    that fresh state (counter 0, empty buffer) with key word 1 set to the
-    block, which draws what Philox(key=[point_seed, block]) draws at a
-    fraction of its build cost.
+    rows used are copied in a block at a time, transposed for axis 0.  One
+    Philox serves the chunk: it is built from numpy's own reading of
+    key=[point_seed, first block], seeds of 2^63 and more included, and
+    each block restores that fresh state (counter 0, empty buffer) with key
+    word 1 set to the block, which draws what Philox(key=[point_seed,
+    block]) draws at a fraction of its build cost.
     """
-    messages = np.empty((payload_bits, count), dtype=np.uint8)
-    noise = np.empty((channel_bits, count))
+    messages = np.empty((payload_bits, count) if axis == 0 else (count, payload_bits), dtype=np.uint8)
+    noise = np.empty((channel_bits, count) if axis == 0 else (count, channel_bits))
     scratch = np.empty((STREAM_FRAMES, channel_bits))
     stop = start + count
     first_block = start // STREAM_FRAMES
@@ -238,13 +251,17 @@ def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma):
     for block in range(first_block, -(-stop // STREAM_FRAMES)):
         first = block * STREAM_FRAMES
         lo, hi = max(start, first) - first, min(stop, first + STREAM_FRAMES) - first
-        columns = slice(first + lo - start, first + hi - start)
+        frames = slice(first + lo - start, first + hi - start)
         fresh["state"]["key"][1] = block
         bit_generator.state = fresh
-        block_messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
-        messages[:, columns] = block_messages[lo:hi].T
+        block_messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)[lo:hi]
         gen.standard_normal(out=scratch[:hi])
-        np.multiply(scratch[lo:hi].T, sigma, out=noise[:, columns])
+        if axis:
+            messages[frames] = block_messages
+            np.multiply(scratch[lo:hi], sigma, out=noise[frames])
+        else:  # transposed on the read side: a strided write is much slower
+            messages[:, frames] = block_messages.T
+            np.multiply(scratch[lo:hi].T, sigma, out=noise[:, frames])
     return messages, noise
 
 
@@ -252,22 +269,23 @@ def _simulate_chunk(args):
     """Simulate frames [start, start+count) of one point.
 
     args is (config, point_seed, start, count, params), with params the
-    point's ChannelParams.  The chunk runs frame-minor, one frame per
-    column, from its draws to its comparison.  Returns (count, offsets,
-    bit_errors): the offsets from start of the frames with a bit error, in
-    order, and their bit-error counts.  A frame has a bit error exactly when
-    it is a frame error, so the error-free frames need no record.
+    point's ChannelParams.  A polar chunk runs frame-minor, one frame per
+    column, and an RS chunk in rows, each from its draws to its bit-error
+    count.  Returns (count, offsets, bit_errors): the offsets from start of
+    the frames with a bit error, in order, and their bit-error counts.  A
+    frame has a bit error exactly when it is a frame error, so the
+    error-free frames need no record.
     """
     config, point_seed, start, count, params = args
     payload_bits, channel_bits, _ = _frame_shape(config)
+    rs = config.decoder == "rs15_11"
     messages, received = _chunk_draws(
-        point_seed, start, count, payload_bits, channel_bits, params.noise_sigma
+        point_seed, start, count, payload_bits, channel_bits, params.noise_sigma, 1 if rs else 0
     )
-    if config.decoder == "rs15_11":
-        decoded = _rs_info_bits(messages, received)
+    if rs:
+        bit_errors = _rs_bit_errors(messages, received)
     else:
-        decoded = _polar_info_bits(config, messages, received, params)
-    bit_errors = np.count_nonzero(decoded != messages, axis=0)
+        bit_errors = np.count_nonzero(_polar_info_bits(config, messages, received, params) != messages, axis=0)
     offsets = np.flatnonzero(bit_errors)
     return count, offsets, bit_errors[offsets]
 
@@ -295,16 +313,22 @@ def _polar_info_bits(config, messages, received, params):
     return np.take(x_hat, spec.info_set, axis=0)
 
 
-def _rs_info_bits(messages, received):
-    """Encode, transmit, hard-slice and decode one frame-minor RS(15,11)
-    chunk on the row-major GF(16) kernels; returns the decoded (44, count)
-    information bits.  received is overwritten as in _polar_info_bits."""
-    info_symbols = reed_solomon.bits_to_symbols(messages.T)
-    code_bits = reed_solomon.symbols_to_bits(reed_solomon.rs_encode_rows(info_symbols))
-    received += channel.modulate(code_bits.T)
-    received_symbols = reed_solomon.bits_to_symbols(channel.hard_slice(received).T)
-    decoded_symbols, _ = reed_solomon.rs_decode_rows(received_symbols)
-    return reed_solomon.symbols_to_bits(decoded_symbols).T
+def _rs_bit_errors(messages, received):
+    """Encode, transmit, hard-slice and decode one RS(15,11) chunk of
+    (count, 44) message rows; returns each frame's information bit errors.
+
+    The GF(16) steps run on bytes of two symbols, np.packbits of the bits:
+    the packed messages are encoded to 8 code bytes and unpacked to the
+    60 channel bits, the sliced bits are packed again and decoded, and the
+    decoded info bytes (pad nibble 0) are XORed with the messages and
+    counted by a byte popcount table.  received is overwritten with the
+    received symbols.
+    """
+    info = np.packbits(messages, axis=1)
+    code = reed_solomon._encode_packed(info)
+    received += channel.modulate(np.unpackbits(code, axis=1, count=received.shape[1]))
+    decoded, _ = reed_solomon._decode_packed(np.packbits(channel.hard_slice(received), axis=1))
+    return _BYTE_WEIGHTS[decoded ^ info].sum(axis=1)
 
 
 def _chunk_starts(max_frames):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from polarfec import GENERATOR_POLY, gf16_inv, gf16_mul, rs_decode, rs_encode, rs_syndromes
+from polarfec import GENERATOR_POLY, gf16_inv, gf16_mul, reed_solomon, rs_decode, rs_encode, rs_syndromes
 from polarfec.reed_solomon import (
     GF16_EXP,
     bits_to_symbols,
@@ -273,3 +273,35 @@ class TestRowKernels:
 
     def test_bit_order_msb_first(self):
         assert symbols_to_bits(np.array([0b1010])).tolist() == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("bad", [[2, 0, 0, 0], [0.6, 1, 1, 1]])
+    def test_bits_to_symbols_rejects_non_bits(self, bad):
+        # a cast would read [2, 0, 0, 0] as symbol 16 and [0.6, 1, 1, 1] as 7
+        with pytest.raises(ValueError, match="0 or 1"):
+            bits_to_symbols(bad)
+
+    @pytest.mark.parametrize("bad", [[17], [3.7]])
+    def test_symbols_to_bits_rejects_non_symbols(self, bad):
+        # a cast would unpack 17 as [0, 0, 0, 1] and 3.7 as [0, 0, 1, 1]
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 15\]"):
+            symbols_to_bits(bad)
+
+    def test_bit_conversions_accept_whole_floats_and_bools(self):
+        assert bits_to_symbols([1.0, 0.0, 1.0, 0.0]).tolist() == [10]
+        assert bits_to_symbols(np.array([[True, False, True, True]])).tolist() == [[11]]
+        assert symbols_to_bits([3.0, 12.0]).tolist() == [0, 0, 1, 1, 1, 1, 0, 0]
+
+    def test_bits_to_symbols_rejects_partial_symbols(self):
+        for bad in ([1, 0, 1], 1):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                bits_to_symbols(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 15])
+    def test_packed_symbols_are_packbits_of_their_bits(self, rng, n):
+        # two symbols a byte, the first in the high nibble, as np.packbits
+        # packs their MSB-first bits; an odd count ends in a zero nibble
+        symbols = rng.integers(0, 16, (20, n)).astype(np.uint8)
+        bits = ((symbols[..., None] >> np.array([3, 2, 1, 0])) & 1).astype(np.uint8).reshape(20, -1)
+        packed = reed_solomon._pack_symbols(symbols)
+        assert np.array_equal(packed, np.packbits(bits, axis=1))
+        assert np.array_equal(reed_solomon._unpack_symbols(packed, n), symbols)

@@ -16,7 +16,7 @@ from polarfec import (
     parse_csv,
     run_sweep,
 )
-from polarfec import QuantSpec, channel
+from polarfec import CodeSpec, QuantSpec, channel, construction, validate_domination
 from polarfec import sweep as sweep_module
 from polarfec.batch import (
     decode_exact_rows,
@@ -45,29 +45,33 @@ class TestFrameStreams:
 
     def test_partial_block_noise_is_a_prefix(self):
         # a chunk that ends inside a block draws its noise only that far, and
-        # its columns are still the reference frames; the last chunk spans
-        # two blocks
+        # its frames are still the reference frames, in the frame-minor
+        # layout (axis 0) and in rows (axis 1); the last chunk spans two
+        # blocks
         first = 3 * STREAM_FRAMES
         for start, stop in ((first, first + 1), (first + 5, first + 17), (first, first + 255), (first - 3, first + 9)):
-            messages, noise = sweep_module._chunk_draws(2718, start, stop - start, 11, 16, 0.7)
-            assert messages.shape == (11, stop - start) and noise.shape == (16, stop - start)
-            for column, frame in enumerate(range(start, stop)):
-                message, frame_noise = frame_draws(2718, frame, 11, 16, 0.7)
-                assert np.array_equal(messages[:, column], message)
-                assert np.array_equal(noise[:, column], frame_noise)
+            for axis in (0, 1):
+                messages, noise = sweep_module._chunk_draws(2718, start, stop - start, 11, 16, 0.7, axis)
+                shapes = ((11, stop - start), (16, stop - start)) if axis == 0 else ((stop - start, 11), (stop - start, 16))
+                assert (messages.shape, noise.shape) == shapes
+                for column, frame in enumerate(range(start, stop)):
+                    message, frame_noise = frame_draws(2718, frame, 11, 16, 0.7)
+                    assert np.array_equal(np.take(messages, column, axis=1 - axis), message)
+                    assert np.array_equal(np.take(noise, column, axis=1 - axis), frame_noise)
 
     def test_rekeyed_chunk_matches_reference_above_2_63(self):
         # one Philox per chunk, re-keyed per block, keeps numpy's rounding
         # of seeds from 2^63 (this one reads as a multiple of 2048): a chunk
         # that starts and ends mid-block across four blocks is still the
-        # reference frames, column for column
+        # reference frames, frame for frame, in either layout
         seed = (1 << 63) + 3 * 2048 + 700
         start, stop = 2 * STREAM_FRAMES + 100, 5 * STREAM_FRAMES + 37
-        messages, noise = sweep_module._chunk_draws(seed, start, stop - start, 11, 16, 0.7)
-        for column, frame in enumerate(range(start, stop)):
-            message, frame_noise = frame_draws(seed, frame, 11, 16, 0.7)
-            assert np.array_equal(messages[:, column], message)
-            assert np.array_equal(noise[:, column], frame_noise)
+        for axis in (0, 1):
+            messages, noise = sweep_module._chunk_draws(seed, start, stop - start, 11, 16, 0.7, axis)
+            for column, frame in enumerate(range(start, stop)):
+                message, frame_noise = frame_draws(seed, frame, 11, 16, 0.7)
+                assert np.array_equal(np.take(messages, column, axis=1 - axis), message)
+                assert np.array_equal(np.take(noise, column, axis=1 - axis), frame_noise)
 
     def test_frame_draws_reproducible(self):
         a = frame_draws(7, 99, 11, 16, 0.5)
@@ -120,7 +124,8 @@ def dense_bit_errors(result):
 def dense_reference(config, point_seed, start, count, params):
     """Per-frame bit errors of frames [start, start+count), built frame-major
     from the public API only: frame_draws, the row encoders, the channel
-    reference functions, decode_*_rows and transform_rows."""
+    reference functions, decode_*_rows and transform_rows.  Returns them
+    with the RS decode-failure flags, or None for a polar code."""
     payload_bits, channel_bits = sweep_module._frame_shape(config)[:2]
     draws = [
         frame_draws(point_seed, frame, payload_bits, channel_bits, params.noise_sigma)
@@ -131,9 +136,10 @@ def dense_reference(config, point_seed, start, count, params):
     if config.decoder == "rs15_11":
         code_bits = symbols_to_bits(rs_encode_rows(bits_to_symbols(messages)))
         received = channel.modulate(code_bits) + noise
-        decoded_symbols, _ = rs_decode_rows(bits_to_symbols(channel.hard_slice(received)))
+        decoded_symbols, failure = rs_decode_rows(bits_to_symbols(channel.hard_slice(received)))
         decoded = symbols_to_bits(decoded_symbols)
     else:
+        failure = None
         spec = config.code
         received = channel.modulate(encode_systematic_rows(messages, spec)) + noise
         llrs = channel.llr_from_awgn(received, params)
@@ -146,7 +152,7 @@ def dense_reference(config, point_seed, start, count, params):
         else:
             u_hat = decode_fixed_rows(llrs, spec, QuantSpec(config.quant_bits, config.frac_bits))
         decoded = transform_rows(u_hat)[:, list(spec.info_set)]
-    return (decoded != messages).sum(axis=1)
+    return (decoded != messages).sum(axis=1), failure
 
 
 class TestChunkAgainstDenseReference:
@@ -165,9 +171,28 @@ class TestChunkAgainstDenseReference:
         params = ChannelParams(1.0, sweep_module._frame_shape(config)[2])
         seed = point_seed_for(config.master_seed, 0)
         chunk = dense_bit_errors(sweep_module._simulate_chunk((config, seed, self.START, self.COUNT, params)))
-        reference = dense_reference(config, seed, self.START, self.COUNT, params)
+        reference, _ = dense_reference(config, seed, self.START, self.COUNT, params)
         assert 0 < np.count_nonzero(reference) < self.COUNT
         assert np.array_equal(chunk, reference)
+
+    @pytest.mark.parametrize("ebn0", [1.0, 4.0])
+    def test_rs_chunks_match_dense_reference(self, ebn0):
+        # The RS chunk runs in rows on packed bytes: chunks of 1, 7 and 9
+        # frames, the last across the block 0/1 boundary, plus the 520 frames
+        # above.  Their frames hold both decode failures and miscorrections
+        # (decoded to another codeword), so both kinds of entry of the packed
+        # correction table are read.
+        config = SweepConfig(decoder="rs15_11", ebn0_start=ebn0, ebn0_stop=ebn0, master_seed=4)
+        params = ChannelParams(ebn0, sweep_module._frame_shape(config)[2])
+        seed = point_seed_for(config.master_seed, 0)
+        failures = miscorrections = 0
+        for start, count in ((0, 1), (3, 7), (STREAM_FRAMES - 6, 9), (self.START, self.COUNT)):
+            chunk = dense_bit_errors(sweep_module._simulate_chunk((config, seed, start, count, params)))
+            reference, failure = dense_reference(config, seed, start, count, params)
+            assert np.array_equal(chunk, reference)
+            failures += np.count_nonzero(failure)
+            miscorrections += np.count_nonzero(~failure & (reference > 0))
+        assert failures > 0 and miscorrections > 0
 
 
 class TestConfig:
@@ -206,6 +231,26 @@ class TestConfig:
         assert SweepConfig(code=(np.int64(16), np.uint8(11))).code == spec16_11
         assert SweepConfig(code=np.array([16, 11])).code == spec16_11
         assert SweepConfig(code=(np.int32(15), np.int64(11)), decoder="rs15_11").code is None
+
+    def test_non_exact_code_spec_rejected(self):
+        # two-pass systematic encoding is not exact on this frozen set, so its
+        # codewords do not all carry their messages: a sweep of it read FER
+        # 0.52 at 30 dB, where the channel makes no errors
+        spec = CodeSpec(8, 4, frozen_set=(3, 4, 6, 7), info_set=(0, 1, 2, 5))
+        assert validate_domination(spec) is False
+        with pytest.raises(ValueError, match="two-pass systematic encoding is not exact"):
+            SweepConfig(code=spec, ebn0_start=30.0, ebn0_stop=30.0, max_frames=256)
+
+    def test_exactness_checked_once_per_code(self, monkeypatch):
+        # the verdict is cached per CodeSpec, so rebuilding a config for an
+        # equal code does not encode the unit messages again
+        encodes = []
+        real = construction.encode_systematic_rows
+        monkeypatch.setattr(construction, "encode_systematic_rows", lambda *args: encodes.append(1) or real(*args))
+        validate_domination.cache_clear()
+        for _ in range(3):
+            SweepConfig(code=(64, 40))
+        assert encodes == [1]
 
     def test_polar_requires_code(self):
         with pytest.raises(ValueError, match="requires a code"):
