@@ -175,8 +175,8 @@ def _check_symbol_rows(rows, expected_len=None, one_word=False):
     cast, to be integers in [0, 15]."""
     arr = np.asarray(rows)
     if arr.ndim < 1 or expected_len not in (None, arr.shape[-1]) or (one_word and arr.ndim != 1):
-        wanted = "rows of" if expected_len is None else f"{expected_len}"
-        raise ValueError(f"expected {wanted} symbols per row, got shape {arr.shape}")
+        count = "" if expected_len is None else f"{expected_len} "
+        raise ValueError(f"expected {count}symbols per row, got shape {arr.shape}")
     if arr.size and not (
         0 <= arr.min() and arr.max() <= 15 and (arr.dtype.kind != "f" or not (arr % 1).any())
     ):

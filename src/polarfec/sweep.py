@@ -252,16 +252,14 @@ def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, ax
         first = block * STREAM_FRAMES
         lo, hi = max(start, first) - first, min(stop, first + STREAM_FRAMES) - first
         frames = slice(first + lo - start, first + hi - start)
+        at = frames if axis else (slice(None), frames)
         fresh["state"]["key"][1] = block
         bit_generator.state = fresh
         block_messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)[lo:hi]
+        messages[at] = block_messages if axis else block_messages.T
         gen.standard_normal(out=scratch[:hi])
-        if axis:
-            messages[frames] = block_messages
-            np.multiply(scratch[lo:hi], sigma, out=noise[frames])
-        else:  # transposed on the read side: a strided write is much slower
-            messages[:, frames] = block_messages.T
-            np.multiply(scratch[lo:hi].T, sigma, out=noise[:, frames])
+        # Axis 0 transposes on the read side: a strided write is much slower.
+        np.multiply(scratch[lo:hi] if axis else scratch[lo:hi].T, sigma, out=noise[at])
     return messages, noise
 
 
