@@ -10,10 +10,11 @@ The public functions take (frames, N) rows.  The sweep keeps each chunk
 frame-minor instead, one frame per column, from its draws to its error
 count, and the _*_columns decoders take (N, frames) LLRs and return x_hat =
 transform(u_hat), from which the sweep reads the information bits with no
-transpose and no re-encode.  decode_*_rows are adapters over them that
-transpose in and return u_hat = transform(x_hat).  _encode_systematic takes
-either layout and encodes on frames packed 8 to a byte along the frame
-axis, so each of its XORs and ANDs covers 8 frames.
+transpose and no re-encode.  Every polar transform is one frame-minor loop,
+butterfly, and _encode_systematic encodes (K, frames) messages on frames
+packed 8 to a byte, so each of its XORs and ANDs covers 8 frames.  The row
+functions transpose around these kernels; decode_*_rows return u_hat =
+transform(x_hat).
 """
 
 from __future__ import annotations
@@ -25,65 +26,40 @@ import numpy as np
 
 from . import channel
 
-# Per little-endian 64-bit lane of bytes, the first `dist` bytes of every
-# 2*dist-byte group: the targets of a butterfly stage at distance dist.
-_LANE_MASKS = {1: 0x00FF00FF00FF00FF, 2: 0x0000FFFF0000FFFF, 4: 0x00000000FFFFFFFF}
-# Smallest array run on lanes: below it, the lane stages' extra ufunc calls
-# cost more than they save (a 1 x 8 transform is about 2x slower on lanes).
-_LANE_MIN_BYTES = 256
+def butterfly(x):
+    """Polar transform of x in place along axis 0; returns XORs per transform.
 
-
-def butterfly(x, axis=-1):
-    """Polar transform of x in place along axis; returns XORs per transform.
-
-    Each of the log2(N) stages performs N/2 XORs, counted as they run.  A
-    stage is one reshaped XOR over the whole array: the elements after axis
-    travel with their bit position, so a frame-minor (N, frames) array
-    transforms along axis 0 with every operand a contiguous block.  Byte
-    arrays of at least _LANE_MIN_BYTES run on 64-bit lanes where a lane
-    holds either 8 bit positions of one row (transforms along the last axis,
-    N a multiple of 8) or 8 elements of one position (the elements after
-    axis a multiple of 8).  A stage below 8 positions then XORs each lane
-    with its own masked shift; a wider one XORs whole lanes.
+    x must be C-contiguous, as a reshape of any other array XORs a copy.
+    Each of the log2(N) stages is one reshaped XOR over the whole array and
+    performs N/2 XORs, counted as they run.  The elements after axis 0
+    travel with their bit position, so on a frame-minor (N, frames) array
+    every operand is a contiguous block.  This is the one polar transform:
+    the (frames, N) row functions transpose around it.
     """
+    n_bits = len(x)
+    if n_bits < 1 or n_bits & (n_bits - 1):
+        raise ValueError(f"length must be a power of two, got {n_bits}")
     if not x.flags.c_contiguous:
-        rows = np.ascontiguousarray(x)
-        xors = butterfly(rows, axis)
-        x[...] = rows
-        return xors
-    axis %= x.ndim
-    n_bits = x.shape[axis]
-    inner = math.prod(x.shape[axis + 1 :])  # elements per bit position
-    rows = x.reshape(math.prod(x.shape[:axis]), n_bits * inner)
+        raise ValueError("butterfly needs a C-contiguous array")
+    inner = x.size // n_bits  # elements per bit position
     xors = 0
     dist = 1
-    if x.dtype == np.uint8 and x.nbytes >= _LANE_MIN_BYTES and (
-        inner % 8 == 0 or (inner == 1 and n_bits % 8 == 0)
-    ):
-        rows = rows.view("<u8")
-        if inner == 1:
-            shifted = np.empty_like(rows)
-            for dist, mask in _LANE_MASKS.items():
-                np.right_shift(rows, 8 * dist, out=shifted)
-                np.bitwise_and(shifted, mask, out=shifted)
-                np.bitwise_xor(rows, shifted, out=rows)
-                xors += n_bits // 2
-            dist = 8
-    width = rows.itemsize // x.itemsize  # elements of x per element of rows
     while dist < n_bits:
-        unit = dist * inner // width
-        pairs = rows.reshape(len(rows), n_bits // (2 * dist), 2, unit)
-        pairs[:, :, 0] ^= pairs[:, :, 1]
+        pairs = x.reshape(n_bits // (2 * dist), 2, dist * inner)
+        pairs[:, 0] ^= pairs[:, 1]
         xors += n_bits // 2
         dist *= 2
     return xors
 
 
 def transform_rows(bits):
-    """Polar transform applied to every row of a (frames, N) bit array."""
-    x = np.array(bits, dtype=np.uint8, order="C")
+    """Polar transform of (frames, N) bit rows, transposed around butterfly."""
+    rows = _as_bit_array(bits)
+    if rows.ndim != 2:
+        raise ValueError(f"expected (frames, N) bit rows, got shape {rows.shape}")
+    x = _transposed(rows, np.uint8)
     butterfly(x)
-    return x
+    return _transposed(x, np.uint8)
 
 
 def _as_bit_array(bits):
@@ -105,38 +81,35 @@ def _as_bit_array(bits):
 
 
 def encode_systematic_rows(messages, spec):
-    """Row-wise two-pass systematic encoding of a (frames, K) message array."""
+    """Two-pass systematic encoding of (frames, K) message rows, transposed
+    around _encode_systematic."""
     messages = _as_bit_array(messages)
     if messages.ndim != 2 or messages.shape[1] != spec.info_len:
         raise ValueError(f"expected {spec.info_len} message bits per row, got shape {messages.shape}")
-    return _encode_systematic(messages, spec, 1)
+    return _transposed(_encode_systematic(_transposed(messages, np.uint8), spec), np.uint8)
 
 
-def _encode_systematic(messages, spec, axis):
-    """Two-pass systematic encoding of a 2-D uint8 0/1 message array whose K
-    bits run along axis: 1 for (frames, K) rows, 0 for frame-minor (K,
-    frames).  Returns the uint8 codeword bits in the same layout.
+def _encode_systematic(messages, spec):
+    """Two-pass systematic encoding of frame-minor (K, frames) uint8 0/1
+    messages; returns the (N, frames) uint8 codeword bits.
 
-    The frames are packed 8 to a byte along the frame axis (1 - axis), and
-    every step runs on the packed bytes: the message is gathered onto
-    info_set (np.take, several times faster than a fancy-index scatter),
-    both butterflies XOR whole bytes, and frozen positions are zeroed by an
-    AND with a 0xFF/0x00 byte mask (a bool mask would keep only the low
-    bit).  One unpack restores a bit per byte.  The entries are not
-    checked; encode_systematic_rows is the checked entry.
+    The frames are packed 8 to a byte along axis 1, and every step runs on
+    the packed bytes: the message is gathered onto info_set (np.take,
+    several times faster than a fancy-index scatter), both butterflies XOR
+    whole bytes, and frozen positions are zeroed by an AND with a 0xFF/0x00
+    byte mask (a bool mask would keep only the low bit).  One unpack
+    restores a bit per byte.  The entries are not checked;
+    encode_systematic_rows is the checked entry.
     """
-    frames = messages.shape[1 - axis]
     info_mask = ~spec.frozen_mask()
     source = np.maximum(np.cumsum(info_mask) - 1, 0)  # message bit of each info position
-    mask = np.where(info_mask, np.uint8(0xFF), np.uint8(0))
-    if not axis:
-        mask = mask[:, None]
-    x = np.take(np.packbits(messages, axis=1 - axis), source, axis=axis)
+    mask = np.where(info_mask, np.uint8(0xFF), np.uint8(0))[:, None]
+    x = np.take(np.packbits(messages, axis=1), source, axis=0)
     x &= mask
-    butterfly(x, axis)
+    butterfly(x)
     x &= mask
-    butterfly(x, axis)
-    return np.unpackbits(x, axis=1 - axis, count=frames)
+    butterfly(x)
+    return np.unpackbits(x, axis=1, count=messages.shape[1])
 
 
 def _check_llr_magnitude(llrs, n_bits):
@@ -317,11 +290,10 @@ def _sc_execute(llrs, spec, dtype, f, g):
 
 
 def _u_hat_rows(x_hat):
-    """(frames, N) u_hat rows of an (N, frames) x_hat: the polar transform is
-    its own inverse, so u_hat = transform(x_hat)."""
-    u_hat = _transposed(x_hat, np.uint8)
-    butterfly(u_hat)
-    return u_hat
+    """(frames, N) u_hat rows of an (N, frames) x_hat, which is overwritten:
+    the polar transform is its own inverse, so u_hat = transform(x_hat)."""
+    butterfly(x_hat)
+    return _transposed(x_hat, np.uint8)
 
 
 def _f_minsum(a, b, out, scratch):
@@ -415,8 +387,10 @@ def decode_exact_rows(llrs, spec):
 
 def quantize_rows(llrs, qspec):
     """Quantize an LLR array of any shape: scale by 2^fraction_bits, round
-    half away from zero, saturate to +/-max_mag; returns int32 grid values."""
+    half away from zero, saturate to +/-max_mag; returns int32 grid values.
+    A non-finite LLR raises ValueError (_check_llr_magnitude)."""
     values = np.array(llrs, dtype=float)
+    _check_llr_magnitude(values, 1)
     raw = np.empty(values.shape, np.int32)
     _quantize_into(values, qspec, raw)
     return raw

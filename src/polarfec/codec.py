@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import _as_bit_array, _check_llr_magnitude, butterfly, encode_systematic_rows, hard_llr_rows
-from .construction import is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,6 @@ def encode_nonsystematic(u_full, return_xor_count=False):
         When True, also return the number of XOR operations performed.
     """
     x = _as_bits(u_full).copy()
-    if not is_power_of_two(len(x)):
-        raise ValueError(f"length must be a power of two, got {len(x)}")
     xors = butterfly(x)
     if return_xor_count:
         return x, xors

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .batch import encode_systematic_rows, transform_rows
+from .batch import _encode_systematic, butterfly
 
 
 def is_power_of_two(n):
@@ -147,14 +147,15 @@ def validate_domination(spec):
     Exact means every codeword carries its message verbatim on info_set and
     its transform is zero on frozen_set.  The encoder is GF(2)-linear, so it
     is exact for all 2^K messages if and only if it is exact for the K unit
-    messages, which are encoded here as one batch.  The verdict is cached
-    per CodeSpec (frozen, so hashable): a (1024,512) check takes several ms.
+    messages, encoded here as one frame-minor batch (the K x K identity is
+    its own transpose).  The verdict is cached per hashable, frozen CodeSpec.
     """
     identity = np.eye(spec.info_len, dtype=np.uint8)
-    codewords = encode_systematic_rows(identity, spec)
-    if not np.array_equal(codewords[:, list(spec.info_set)], identity):
+    codewords = _encode_systematic(identity, spec)
+    if not np.array_equal(codewords[list(spec.info_set)], identity):
         return False
-    return not transform_rows(codewords)[:, list(spec.frozen_set)].any()
+    butterfly(codewords)
+    return not codewords[list(spec.frozen_set)].any()
 
 
 def _check_exact_encoding(spec):

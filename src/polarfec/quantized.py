@@ -7,7 +7,6 @@ negation can never overflow.  Every add/subtract saturates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,8 @@ class QuantSpec:
 
 def quantize(value, qspec):
     """Quantize one real LLR to its raw grid integer: scale by
-    2^fraction_bits, round half away from zero, saturate to +/-max_mag."""
-    if not math.isfinite(value):
-        raise ValueError("LLR must be finite")
+    2^fraction_bits, round half away from zero, saturate to +/-max_mag.
+    A non-finite LLR raises ValueError."""
     return int(quantize_rows(value, qspec))
 
 

@@ -225,8 +225,8 @@ def _frame_shape(config):
 
 def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, axis):
     """The draws of frames [start, start+count) of a point, in the layout
-    batch._encode_systematic names by axis, the axis a frame's bits run
-    along: 0 for frame-minor (bits, count) arrays, 1 for (count, bits) rows.
+    named by axis, the axis a frame's bits run along: 0 for frame-minor
+    (bits, count) arrays, 1 for (count, bits) rows.
     Frame j of the messages and of the noise is frame_draws(point_seed,
     start + j, ...).
 
@@ -297,7 +297,7 @@ def _polar_info_bits(config, messages, received, params):
     symbols of the sliced bits, which are their unit LLRs.
     """
     spec = config.code
-    received += channel.modulate(batch._encode_systematic(messages, spec, 0))
+    received += channel.modulate(batch._encode_systematic(messages, spec))
     if config.decoder == "hard":
         x_hat = batch._minsum_columns(channel.modulate(channel.hard_slice(received)), spec)
     else:

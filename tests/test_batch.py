@@ -43,12 +43,13 @@ def test_encode_systematic_rows_matches_scalar(spec8_5, spec16_11, rng):
 @pytest.mark.parametrize("frames", [0, 1, 7, 8, 9, 65, 520])
 def test_packed_encode_matches_generator_matrix(shape, frames, rng):
     # frames are packed 8 to a byte, so counts off a multiple of 8 exercise
-    # the pad; (2, 2) and (32, 32) are all-info specs
+    # the pad; (2, 2) and (32, 32) are all-info specs.  Rows go through the
+    # checked entry, frame-minor columns straight to the kernel.
     spec = bhattacharyya_construct(*shape)
     messages = rng.integers(0, 2, (frames, spec.info_len), dtype=np.uint8)
     expected = oracles.systematic_matrix_encode(messages, spec)
-    rows = _encode_systematic(messages, spec, 1)
-    columns = _encode_systematic(np.ascontiguousarray(messages.T), spec, 0)
+    rows = encode_systematic_rows(messages, spec)
+    columns = _encode_systematic(np.ascontiguousarray(messages.T), spec)
     assert rows.dtype == columns.dtype == np.uint8
     assert np.array_equal(rows, expected)
     assert np.array_equal(columns, expected.T)
@@ -74,27 +75,56 @@ def test_encode_systematic_rows_accepts_bool_and_whole_floats(spec16_11, rng):
 
 @pytest.mark.parametrize("n_bits", [1, 2, 4, 8, 64])
 def test_butterfly_matches_matrix(n_bits, rng):
+    # frame-minor: frame j is column j, and a bare N-vector is one frame
     bits = rng.integers(0, 2, (7, n_bits)).astype(np.uint8)
-    x = bits.copy()
+    x = bits.T.copy()
     assert butterfly(x) == n_bits // 2 * (n_bits.bit_length() - 1)
-    for row, x_row in zip(bits, x):
+    for row, x_row in zip(bits, x.T):
         assert np.array_equal(x_row, oracles.matrix_encode(row))
+    vector = bits[0].copy()
+    butterfly(vector)
+    assert np.array_equal(vector, x[:, 0])
 
 
-@pytest.mark.parametrize("rows, n_bits", [(10, 64), (40, 256)], ids=["bytes", "lanes"])
-def test_butterfly_on_non_contiguous_view(rows, n_bits, rng):
-    # every other row and column of a larger array, transformed in place
-    big = rng.integers(0, 2, (rows, n_bits)).astype(np.uint8)
+@pytest.mark.parametrize("n_bits, frames", [(64, 10), (256, 40)])
+def test_butterfly_on_non_contiguous_view(n_bits, frames, rng):
+    # every other position or frame of a larger array: a reshape would XOR
+    # a copy, so the view is rejected and left as it was
+    big = rng.integers(0, 2, (n_bits, frames)).astype(np.uint8)
     before = big.copy()
-    view = big[::2, ::2]
-    n_view = n_bits // 2
-    assert butterfly(view) == n_view // 2 * (n_view.bit_length() - 1)
-    for i in range(rows):
-        if i % 2:
-            assert np.array_equal(big[i], before[i])
-            continue
-        assert np.array_equal(big[i, ::2], oracles.matrix_encode(before[i, ::2]))
-        assert np.array_equal(big[i, 1::2], before[i, 1::2])
+    for view in (big[::2, ::2], big[::2], big[:, ::2]):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            butterfly(view)
+    assert np.array_equal(big, before)
+
+
+@pytest.mark.parametrize("n_bits", [0, 3, 6, 12, 24])
+def test_butterfly_rejects_non_power_of_two_lengths(n_bits):
+    for x in (np.zeros(n_bits, np.uint8), np.zeros((n_bits, 5), np.uint8), np.zeros((n_bits, 16), np.uint8)):
+        with pytest.raises(ValueError, match="must be a power of two"):
+            butterfly(x)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([[2, 0]], "must be 0 or 1"),
+    ([[0.6, 1]], "must be 0 or 1"),
+    ([[1, 0, 1]], "must be a power of two"),
+    ([1, 0], "expected \\(frames, N\\) bit rows"),
+    ([[[1, 0]]], "expected \\(frames, N\\) bit rows"),
+], ids=["two", "fraction", "length-3", "1-D", "3-D"])
+def test_transform_rows_rejects_bad_rows(bad, match):
+    with pytest.raises(ValueError, match=match):
+        transform_rows(bad)
+
+
+def test_transform_rows_accepts_bool_whole_floats_and_views(rng):
+    bits = rng.integers(0, 2, (9, 16), dtype=np.uint8)
+    expected = transform_rows(bits)
+    assert np.array_equal(transform_rows(bits.astype(bool)), expected)
+    assert np.array_equal(transform_rows(bits.astype(float)), expected)
+    flipped = bits[:, ::-1]  # a view: the rows are copied, not reshaped
+    assert np.array_equal(transform_rows(flipped), transform_rows(flipped.copy()))
+    assert transform_rows(np.zeros((0, 8), np.uint8)).shape == (0, 8)
 
 
 @pytest.mark.parametrize("shape", [(16, 11), (8, 5), (128, 96)])
@@ -219,14 +249,18 @@ def test_rows_reject_llrs_whose_n_fold_sum_overflows(decode, spec16_11):
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("frames", [0, 1, 5, 8, 64])
 def test_butterfly_along_either_axis(axis, frames, rng):
-    # frame-minor (N, frames) arrays transform along axis 0, on lanes when
-    # the frames are a multiple of 8 and the array is large enough; an
-    # (N, 0) array has nothing to transform but still counts its XORs
+    # axis is the axis a frame's bits run along: 0 is the frame-minor (N,
+    # frames) array butterfly takes, 1 the (frames, N) rows transform_rows
+    # transposes around it.  An (N, 0) array has nothing to transform but
+    # still counts its XORs.
     for n_bits in (1, 2, 16, 64):
         bits = rng.integers(0, 2, (frames, n_bits)).astype(np.uint8)
-        x = bits.T.copy() if axis == 0 else bits.copy()
-        assert butterfly(x, axis) == n_bits // 2 * (n_bits.bit_length() - 1)
-        rows = x.T if axis == 0 else x
+        if axis == 0:
+            x = bits.T.copy()
+            assert butterfly(x) == n_bits // 2 * (n_bits.bit_length() - 1)
+            rows = x.T
+        else:
+            rows = transform_rows(bits)
         for row, x_row in zip(bits, rows):
             assert np.array_equal(x_row, oracles.matrix_encode(row))
 
@@ -278,6 +312,17 @@ def test_quantize_rows_saturates_without_overflow():
         m = qspec.max_mag
         assert quantize_rows(values, qspec).tolist() == [m, -m, m, m, 0]
         assert quantize(1e308, qspec) == m
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_quantize_rows_rejects_non_finite(bad):
+    # the one LLR rule, with no RuntimeWarning on the way
+    qspec = QuantSpec(5, 1)
+    for llrs in ([bad], [[0.5, bad], [1.0, 2.0]], bad):
+        with pytest.raises(ValueError, match="LLR must be finite"):
+            quantize_rows(llrs, qspec)
+    with pytest.raises(ValueError, match="LLR must be finite"):
+        quantize(bad, qspec)
 
 
 def test_hard_llr_rows():

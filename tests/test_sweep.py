@@ -245,8 +245,8 @@ class TestConfig:
         # the verdict is cached per CodeSpec, so rebuilding a config for an
         # equal code does not encode the unit messages again
         encodes = []
-        real = construction.encode_systematic_rows
-        monkeypatch.setattr(construction, "encode_systematic_rows", lambda *args: encodes.append(1) or real(*args))
+        real = construction._encode_systematic
+        monkeypatch.setattr(construction, "_encode_systematic", lambda *args: encodes.append(1) or real(*args))
         validate_domination.cache_clear()
         for _ in range(3):
             SweepConfig(code=(64, 40))
