@@ -3,8 +3,7 @@
 Each function processes many frames with the identical arithmetic the
 scalar reference implementations use, so results are bit-for-bit equal;
 the test suite asserts that equivalence.  The SC traversal order is data
-independent, which is what makes whole batches decodable in lockstep: one
-node plan per frozen set, run by one executor over frame-minor buffers.
+independent, so one recursive walk decodes whole batches in lockstep.
 
 The public functions take (frames, N) rows.  The sweep keeps each chunk
 frame-minor instead, one frame per column, from its draws to its error
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -151,77 +151,14 @@ def _transposed(x, dtype):
     return out
 
 
-# Node plan operations.
-_F, _G, _G0, _LEAF, _MERGE, _REP, _RATE1 = range(7)
-
-# Bytes per operand block of one F or G call, small enough that the
-# passes over a block stay in cache.
+# Bytes per F or G operand block, small enough that its passes stay in cache.
 _BLOCK_BYTES = 1 << 18
 
 
 @lru_cache(maxsize=16)
-def _node_plan(n_bits, frozen_set, rate1):
-    """Data-independent SC node plan: the tree walk as a flat operation list.
-
-    Walks depth-first (F, left subtree, G, right subtree, merge) and skips
-    every rate-0 subtree together with the F or G that would feed it: its
-    bits are 0 and its partial sums 0 whatever the LLRs.  An entry is (op,
-    stage, base, skip) for the node of 2^stage bits at base.  _F and _G
-    write the child's LLRs to buffer stage-1; _G0 is a G whose left child is
-    rate-0, so its feedback is 0.  _LEAF decides bit base.  _MERGE XORs the
-    right child's partial sums into the left child's.
-
-    Two node kinds of stage >= 1 end the walk early (Alamdar-Yazdi and
-    Kschischang 2011; Sarkis et al. 2014), and both are exact:
-
-    * _REP, a node whose last bit is its only information bit.  Its _G0
-      chain down the right spine is the one the walk runs, and _REP then
-      decides that bit once and writes it to all the node's partial sums,
-      which is what the chain's leaf and merges would write.
-    * _RATE1, a node of information bits only, when rate1 is set.  With
-      min-sum F, a node whose LLRs hold no zero has partial sums equal to
-      their hard decisions (each F keeps the product of the signs, each G
-      the sign of its b), so _RATE1 writes those and jumps to entry skip,
-      past the node's ordinary subtree, which follows it for the batches
-      whose LLRs hold a zero.  That subtree's left child always inherits
-      the zero through F, so only its right children carry their own check.
-
-    rate1 must be False unless F is sign-exact, as _f_exact is not.
-    """
-    info_count = np.concatenate([[0], np.cumsum(~np.isin(np.arange(n_bits), frozen_set))])
-    plan = []
-
-    def info(base, size):
-        return info_count[base + size] - info_count[base]
-
-    def visit(stage, base, check):
-        size = 1 << stage
-        if stage == 0:
-            plan.append((_LEAF, 0, base, 0))
-            return
-        if info(base, size) == 1 == info(base + size - 1, 1):
-            plan.extend((_G0, s, base + size - (1 << s), 0) for s in range(stage, 0, -1))
-            plan.append((_REP, stage, base, 0))
-            return
-        full = rate1 and info(base, size) == size
-        if full and check:
-            entry = len(plan)
-            plan.append(None)
-        half = size >> 1
-        left0, right0 = info(base, half) == 0, info(base + half, half) == 0
-        if not left0:
-            plan.append((_F, stage, base, 0))
-            visit(stage - 1, base, not full)
-        if not right0:
-            plan.append((_G0 if left0 else _G, stage, base, 0))
-            visit(stage - 1, base + half, True)
-            plan.append((_MERGE, stage, base, 0))
-        if full and check:
-            plan[entry] = (_RATE1, stage, base, len(plan))
-
-    if info(0, n_bits):
-        visit(n_bits.bit_length() - 1, 0, True)
-    return tuple(plan)
+def _info_counts(n_bits, frozen_set):
+    """Prefix sums of the information bits: entry i counts those below bit i."""
+    return tuple(accumulate(np.isin(np.arange(n_bits), frozen_set, invert=True).tolist(), initial=0))
 
 
 def _rate1(alpha, out):
@@ -234,59 +171,81 @@ def _rate1(alpha, out):
 
 
 def _sc_execute(llrs, spec, dtype, f, g):
-    """The batch SC decoder: run spec's node plan over frame-minor (N,
+    """The batch SC decoder: walk spec's SC tree over frame-minor (N,
     frames) LLRs in dtype; returns x_hat, the (N, frames) root partial sums.
 
-    llrs is the root's stage buffer and is only read, so it may be of any
-    dtype whose values dtype holds exactly.  Stage s < n has one (2^s,
-    frames) buffer, so the operands of every F and G are two contiguous
-    half-blocks, taken _BLOCK_BYTES at a time.  f(a, b, out, scratch) and
-    g(a, b, bits, out) write into out; g gets bits None where the feedback
-    is all zero.  Partial sums live in one (N, frames) array indexed by bit
-    position: each leaf writes its decision there, each _REP and taken
-    _RATE1 its node's sums, and each merge XORs in place, so after the
-    root's merge it holds transform(u_hat).  The plan has Rate-1 nodes only
-    for the min-sum F; each is decided for the whole batch at once, so one
-    zero in any frame's node LLRs runs the node's subtree for every frame.
+    llrs, the root's stage buffer, is only read, so it may be of any dtype
+    whose values dtype holds exactly.  Stage s < n has one (2^s, frames)
+    buffer, so every F and G combines two contiguous half-blocks, taken
+    _BLOCK_BYTES at a time: f(a, b, out, scratch) and g(a, b, bits, out)
+    write into out, g with bits None for all-zero feedback.  Partial sums
+    merge in place in one (N, frames) array, ending as transform(u_hat).
+
+    The walk (_sc_walk: F, left child, G, right child, merge) skips each
+    rate-0 subtree with the F or G that would feed it.  Two exact node
+    rules end it early (Alamdar-Yazdi & Kschischang 2011; Sarkis et al. 2014):
+
+    * Repetition: a node whose last bit is its only information bit runs
+      SC's zero-feedback G chain down its right spine, decides that bit
+      once and copies it to all its partial sums, as the chain's leaf and
+      merges would.  A leaf is the stage-0 case.
+    * Rate-1, for the min-sum F only (_f_exact is not sign-exact): a node
+      of information bits whose LLRs hold no zero has partial sums equal
+      to their hard decisions (each F keeps the product of the signs, each
+      G the sign of its b), which _rate1 writes.  If any frame's LLRs hold
+      a zero, the node's subtree runs for the whole batch; its left child
+      inherits the zero through F, so only right children are checked.
     """
-    plan = _node_plan(spec.block_len, spec.frozen_set, f is _f_minsum)
     n_bits, frames = llrs.shape
     itemsize = np.dtype(dtype).itemsize
     block = 1 << max(0, (_BLOCK_BYTES // (itemsize * max(frames, 1))).bit_length() - 1)
     buffers = [np.empty((1 << s, frames), dtype) for s in range(spec.stages)] + [llrs]
     scratch = np.empty((min(block, n_bits), frames), dtype)
     sums = np.zeros((n_bits, frames), dtype=np.uint8)
-    index = 0
-    while index < len(plan):
-        op, stage, base, skip = plan[index]
-        index += 1
-        if op == _LEAF:
-            np.less(buffers[0][0], 0, out=sums[base])
-            continue
-        if op == _RATE1:
-            if _rate1(buffers[stage], sums[base : base + (1 << stage)]):
-                index = skip
-            continue
-        if op == _REP:
-            node = sums[base : base + (1 << stage)]
-            np.less(buffers[0][0], 0, out=node[0])
-            node[1:] = node[0]
-            continue
-        half = 1 << (stage - 1)
-        if op == _MERGE:
-            left = sums[base : base + half]
-            np.bitwise_xor(left, sums[base + half : base + 2 * half], out=left)
-            continue
-        v, out = buffers[stage], buffers[stage - 1]
-        step = min(block, half)
-        for lo in range(0, half, step):
-            a, b = v[lo : lo + step], v[half + lo : half + lo + step]
-            if op == _F:
-                f(a, b, out[lo : lo + step], scratch[:step])
-            else:
-                bits = sums[base + lo : base + lo + step] if op == _G else None
-                g(a, b, bits, out[lo : lo + step])
+    info = _info_counts(n_bits, spec.frozen_set)
+    if info[-1]:
+        # a tuple, not a closure, so no reference cycle keeps the buffers alive
+        run = (buffers, sums, info, f, g, f is _f_minsum, block, scratch)
+        _sc_walk(run, spec.stages, 0, True)
     return sums
+
+
+def _sc_walk(run, stage, base, check):
+    """Decode the 2^stage-bit node at base, whose LLRs are in buffer stage,
+    into its partial sums; check says whether a Rate-1 node is checked."""
+    buffers, sums, info, f, g, rate1, _, _ = run
+    mid, end = base + (1 << stage) // 2, base + (1 << stage)
+    # a visited node holds an information bit; a repetition node only its last
+    if info[end - 1] == info[base]:
+        for s in range(stage, 0, -1):
+            _combine(run, s, g)
+        sums[base:end] = buffers[0][0] < 0
+        return
+    full = rate1 and info[end] - info[base] == end - base
+    if full and check and _rate1(buffers[stage], sums[base:end]):
+        return
+    left = info[mid] > info[base]
+    if left:
+        _combine(run, stage, f)
+        _sc_walk(run, stage - 1, base, not full)
+    if info[end] > info[mid]:
+        _combine(run, stage, g, sums[base:mid] if left else None)
+        _sc_walk(run, stage - 1, mid, True)
+        np.bitwise_xor(sums[base:mid], sums[mid:end], out=sums[base:mid])
+
+
+def _combine(run, stage, op, bits=None):
+    """One F (op f) or G (op g, bits None for zero feedback) of buffer stage into stage-1."""
+    buffers, _, _, f, _, _, block, scratch = run
+    v, out = buffers[stage], buffers[stage - 1]
+    half = len(out)
+    step = min(block, half)
+    for lo in range(0, half, step):
+        a, b, dst = v[lo : lo + step], v[half + lo : half + lo + step], out[lo : lo + step]
+        if op is f:
+            f(a, b, dst, scratch[:step])
+        else:
+            op(a, b, None if bits is None else bits[lo : lo + step], dst)
 
 
 def _u_hat_rows(x_hat):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import _as_bit_array, _check_llr_magnitude, butterfly, encode_systematic_rows, hard_llr_rows
+from . import channel
+from .batch import _as_bit_array, _check_llr_magnitude, _encode_systematic, butterfly
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def encode_systematic(info, spec):
     msg = _as_bits(info)
     if len(msg) != spec.info_len:
         raise ValueError(f"expected {spec.info_len} info bits, got {len(msg)}")
-    return encode_systematic_rows(msg[None, :], spec)[0]
+    return _encode_systematic(msg[:, None], spec)[:, 0]
 
 
 def f_exact(la, lb):
@@ -155,22 +156,25 @@ def _sc_recursion(values, frozen, f, g):
     visited, so a decode always makes N*log2(N) F and G evaluations.
     """
     u_hat = np.zeros(len(values), dtype=np.uint8)
-
-    def rec(v, base):
-        m = len(v)
-        if m == 1:
-            if not frozen[base] and v[0] < 0:
-                u_hat[base] = 1
-            return [int(u_hat[base])]
-        half = m // 2
-        a = v[:half]
-        b = v[half:]
-        left = rec([f(a[j], b[j]) for j in range(half)], base)
-        right = rec([g(a[j], b[j], left[j]) for j in range(half)], base + half)
-        return [left[j] ^ right[j] for j in range(half)] + right
-
-    x_hat = np.array(rec(values, 0), dtype=np.uint8)
+    x_hat = np.array(_sc_node(values, 0, frozen, f, g, u_hat), dtype=np.uint8)
     return u_hat, x_hat
+
+
+def _sc_node(v, base, frozen, f, g, u_hat):
+    """_sc_recursion's node of len(v) values at bit base: decides its bits
+    into u_hat and returns its partial sums.  A module-level function, not
+    a closure, so a decode leaves no reference cycle behind."""
+    m = len(v)
+    if m == 1:
+        if not frozen[base] and v[0] < 0:
+            u_hat[base] = 1
+        return [int(u_hat[base])]
+    half = m // 2
+    a = v[:half]
+    b = v[half:]
+    left = _sc_node([f(a[j], b[j]) for j in range(half)], base, frozen, f, g, u_hat)
+    right = _sc_node([g(a[j], b[j], left[j]) for j in range(half)], base + half, frozen, f, g, u_hat)
+    return [left[j] ^ right[j] for j in range(half)] + right
 
 
 def sc_decode(channel_llrs, spec, f_mode="minsum"):
@@ -215,4 +219,4 @@ def hard_decision_decode(received_bits, spec):
     bits = _as_bits(received_bits)
     if len(bits) != spec.block_len:
         raise ValueError(f"expected {spec.block_len} bits, got {len(bits)}")
-    return sc_decode(hard_llr_rows(bits), spec, f_mode="minsum")
+    return sc_decode(channel.modulate(bits), spec, f_mode="minsum")

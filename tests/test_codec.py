@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import product
 
@@ -18,6 +19,7 @@ from polarfec import (
     sc_decode,
     sc_decode_fixed,
 )
+from polarfec.batch import decode_exact_rows, decode_fixed_rows, decode_minsum_rows
 
 # Every scalar entry point that takes one frame of channel LLRs.
 FRAME_DECODERS = {
@@ -273,3 +275,29 @@ class TestLlrFrameCheck:
     def test_rejects_wrong_shape(self, decode, shape, spec16_11):
         with pytest.raises(ValueError, match="expected 16 LLRs"):
             decode(np.zeros(shape), spec16_11)
+
+
+def test_decoders_leave_no_reference_cycles(spec16_11, rng):
+    # a cycle would keep a decode's buffers alive until the cycle collector
+    # runs, so every decoder's garbage must be freed by reference counting
+    q5 = QuantSpec(5, 1)
+    llrs = rng.normal(0.5, 2, 16)
+    decoders = {
+        "sc_decode minsum": lambda: sc_decode(llrs, spec16_11, f_mode="minsum"),
+        "sc_decode exact": lambda: sc_decode(llrs, spec16_11, f_mode="exact"),
+        "sc_decode_fixed": lambda: sc_decode_fixed(llrs, spec16_11, q5),
+        "hard_decision_decode": lambda: hard_decision_decode(llrs < 0, spec16_11),
+        "decode_minsum_rows": lambda: decode_minsum_rows(llrs[None], spec16_11),
+        "decode_exact_rows": lambda: decode_exact_rows(llrs[None], spec16_11),
+        "decode_fixed_rows": lambda: decode_fixed_rows(llrs[None], spec16_11, q5),
+    }
+    for decode in decoders.values():
+        decode()  # warm up caches
+    gc.disable()
+    try:
+        for name, decode in decoders.items():
+            gc.collect()
+            decode()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

@@ -5,9 +5,11 @@ random frozen sets: small integers with zeros, hard +/-1 rows, Q4 and Q5
 grid values at saturation, integers at the int16/int32 decode-width edge,
 +/-(float max)/N, subnormals and -0.0.  Every decode_*_rows must equal its
 scalar reference row for row, and every architecture schedule must equal
-sc_decode.  The batch plan's Rate-1 and repetition nodes end the SC walk
+sc_decode.  The batch walk's Rate-1 and repetition nodes end the SC walk
 early, so this is also their proof: the tests record every Rate-1 check and
-require both its shortcut and its fallback to have run.
+require both its shortcut and its fallback to have run.  Recording
+stand-ins for the walk and the F and G kernels pin which nodes the walk
+visits and how many F and G operations a decode runs.
 """
 
 import types
@@ -89,8 +91,9 @@ for _name, _qspec in QSPECS.items():
 
 @pytest.fixture()
 def rate1_checks(monkeypatch):
-    """Every Rate-1 check the batch executor makes, as (kind, taken), with
-    kind set by the test to the batch being decoded."""
+    """Every Rate-1 check the batch walk makes, as (kind, taken), with kind
+    set by the test to the batch being decoded.  The walk looks _rate1 up
+    when it calls it, so the stand-in sees every check."""
     checks, state = [], {"kind": None}
     rule = batch._rate1
 
@@ -114,7 +117,7 @@ def test_batch_decoders_match_scalar(name, rate1_checks):
         for row, llr_row in zip(rows, llrs):
             assert np.array_equal(row, reference(llr_row, spec).u_hat), (spec, kind, llr_row)
     if name == "exact":
-        # _f_exact is not sign-exact, so its plans have no Rate-1 nodes
+        # _f_exact is not sign-exact, so its walk has no Rate-1 nodes
         assert checks == []
         return
     # both the shortcut and the fallback ran, the fallback on tie-rich inputs
@@ -146,23 +149,71 @@ def test_empty_and_single_row_batches(name):
             assert np.array_equal(decode(row, spec)[0], reference(row[0], spec).u_hat), kind
 
 
-def test_plans_hold_both_node_kinds():
-    # the harness's specs reach repetition nodes with and without Rate-1
-    # nodes, and Rate-1 nodes whose own subtree nests further checks
-    kinds = Counter(
-        (op, rate1)
-        for spec in {case[0] for case in CASES}
-        for rate1 in (False, True)
-        for op, *_ in batch._node_plan(spec.block_len, spec.frozen_set, rate1)
-    )
-    assert kinds[batch._REP, False] == kinds[batch._REP, True] > 0
-    assert (batch._RATE1, False) not in kinds and kinds[batch._RATE1, True] > 0
+def test_plans_hold_both_node_kinds(monkeypatch, rate1_checks):
+    # the harness's specs reach repetition nodes under the min-sum F, which
+    # makes Rate-1 checks, and under the exact F, which makes none; the walk
+    # ends at each repetition node, so its right child is not visited
+    visits, walk = [], batch._sc_walk
+
+    def recording(run, stage, base, check):
+        visits.append((stage, base))
+        walk(run, stage, base, check)
+
+    monkeypatch.setattr(batch, "_sc_walk", recording)
+    checks, _ = rate1_checks
+    rng = np.random.default_rng(2011)
+    repetitions, rate1 = {}, {}
+    for decode in (decode_minsum_rows, decode_exact_rows):
+        count, checks_before = 0, len(checks)
+        for spec in dict.fromkeys(case[0] for case in CASES):
+            visits.clear()
+            decode(rng.normal(0.5, 2, (4, spec.block_len)), spec)
+            info = ~spec.frozen_mask()
+            for stage, base in visits:
+                node = info[base : base + (1 << stage)]
+                if stage and node.sum() == 1 == node[-1]:
+                    count += 1
+                    assert (stage - 1, base + len(node) // 2) not in visits
+        repetitions[decode], rate1[decode] = count, len(checks) - checks_before
+    assert repetitions[decode_minsum_rows] == repetitions[decode_exact_rows] > 0
+    assert rate1[decode_minsum_rows] > 0 and rate1[decode_exact_rows] == 0
 
 
-def test_all_frozen_plan_decodes_to_zeros():
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Every call of the batch F and G kernels, counted by name.  The
+    wrappers replace the module's names, so the walk's f is _f_minsum test
+    still holds and min-sum decodes keep their Rate-1 nodes."""
+    calls = Counter()
+    for name in ("_f_minsum", "_f_exact", "_g"):
+
+        def counting(*args, name=name, kernel=getattr(batch, name)):
+            calls[name] += 1
+            kernel(*args)
+
+        monkeypatch.setattr(batch, name, counting)
+    return calls
+
+
+def test_all_frozen_plan_decodes_to_zeros(kernel_calls):
     # CodeSpec needs K >= 1, so the all-frozen set runs through a stand-in
     for n_bits in (1, 2, 16):
-        assert batch._node_plan(n_bits, tuple(range(n_bits)), True) == ()
         spec = types.SimpleNamespace(block_len=n_bits, frozen_set=tuple(range(n_bits)), stages=n_bits.bit_length() - 1)
         llrs = np.array([[-1.0] * n_bits, [0.0] * n_bits]).T
         assert not batch._minsum_columns(llrs, spec).any()
+        assert not batch._exact_columns(llrs, spec).any()
+        assert not batch._fixed_columns(llrs.copy(), spec, QSPECS["q5_f1"]).any()
+    assert not kernel_calls
+
+
+@pytest.mark.parametrize("n_bits, k_info, f_calls, g_calls", [(16, 11, 5, 9), (128, 96, 20, 35), (1024, 512, 95, 191)])
+def test_walk_f_and_g_counts(n_bits, k_info, f_calls, g_calls, kernel_calls, rate1_checks):
+    # one frame of tie-free LLRs: every Rate-1 shortcut is taken, and each F
+    # or G is one kernel call, as one frame's operand block is 32768 rows
+    spec = bhattacharyya_construct(n_bits, k_info)
+    llrs = np.random.default_rng(n_bits).normal(1.0, 1.5, (1, n_bits))
+    rows = decode_minsum_rows(llrs, spec)
+    assert np.array_equal(rows[0], sc_decode(llrs[0], spec, "minsum").u_hat)
+    checks, _ = rate1_checks
+    assert checks and all(taken for _, taken in checks)
+    assert kernel_calls == Counter(_f_minsum=f_calls, _g=g_calls)
