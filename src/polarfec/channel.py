@@ -5,7 +5,10 @@ noise spectral density), with the code rate folded into the noise variance so
 codes of different rates sit on one comparable axis.  The BPSK symbols +/-1
 have unit energy.  This module owns the channel's three rules, the bit to
 symbol map, the 2y/sigma^2 LLR scaling and the y < 0 slicer; the sweep calls
-them on its frame-minor chunks.
+them on its chunks.  The scaling divides once, y / (sigma^2/2), whenever
+halving sigma^2 is exact, as it is for every sigma^2 of 2^-1021 or more;
+for a sigma^2 near the smallest normal float whose half rounds, it keeps
+the two passes, 2y and then / sigma^2.
 """
 
 from __future__ import annotations
@@ -66,18 +69,32 @@ def llr_from_awgn(received, params):
 
 def _scale_to_llrs(received, params):
     """llr_from_awgn's rule, written over the float array received, which
-    is returned."""
+    is returned.
+
+    2y is exact, so 2y / sigma^2 and y / (sigma^2/2) are the correctly
+    rounded quotient of one real number whenever sigma^2/2 is exact: one
+    pass gives the two-pass result bit for bit (for any y whose 2y is
+    finite).  Halving rounds only a sigma^2 below 2^-1021 whose last
+    mantissa bit is set, as the smallest sigma^2 ChannelParams admits can
+    be; the guard keeps the two passes there.
+    """
     sigma = params.noise_sigma
-    np.multiply(received, 2.0, out=received)
     # sigma * sigma is correctly rounded; sigma**2 can differ in the last bit.
-    return np.divide(received, sigma * sigma, out=received)
+    s2 = sigma * sigma
+    half = s2 / 2
+    if half * 2 == s2:
+        return np.divide(received, half, out=received)
+    np.multiply(received, 2.0, out=received)
+    return np.divide(received, s2, out=received)
 
 
-def hard_slice(received):
+def hard_slice(received, out=None):
     """Threshold detector at 0, as uint8 bits.
 
     A symbol exactly on the threshold, -0.0 included, decides bit 0,
     consistent with the LLR = 0 tie rule.  This channel is a BSC with
-    crossover p = Q(1/sigma).
+    crossover p = Q(1/sigma).  out, if given, is a bool array of
+    received's shape that takes the decisions; it is returned viewed as
+    uint8.
     """
-    return np.less(received, 0).view(np.uint8)
+    return np.less(received, 0, out=out).view(np.uint8)

@@ -3,6 +3,8 @@
 Frame i of a point takes its randomness from row i % STREAM_FRAMES of one
 stream block: the counter-based Philox stream Philox(key=[point_seed,
 i // STREAM_FRAMES]) that draws the block's messages and then its noise.
+frame_draws defines the messages by Generator.integers(0, 2); the chunks
+take the same bits as the top bit of each raw stream byte (_chunk_draws).
 That key is numpy's reading of the list, which is not always the pair
 itself: a point_seed of 2^63 or more turns the list into floats, and its
 key word is then point_seed rounded to a multiple of 2048 (see
@@ -17,11 +19,12 @@ its comparison, the layout the batch SC decoder works in: it encodes, adds
 the BPSK symbols into its noise and scales that to LLRs in place (or
 slices it), each step a polarfec.channel rule, decodes to x_hat, and
 compares x_hat's information rows with the messages.  An RS(15,11) chunk
-runs in rows, one frame per row, on bytes of two GF(16) symbols (np.packbits
-of the bits): it encodes its packed messages, unpacks the code bytes to
-channel bits, adds their BPSK symbols into its noise and slices it, packs
-the sliced bits, decodes them through the syndrome table and counts the
-bits in which the decoded info bytes differ from the messages.  A chunk
+runs in rows, one frame per row, on bytes of two GF(16) symbols (the bits
+packed flat from rows padded to whole bytes): it encodes its packed
+messages, unpacks the code bytes to channel bits, adds their BPSK symbols
+into its noise and slices it into a padded buffer, packs the sliced bits,
+decodes them through the syndrome table and counts the bits in which the
+decoded info bytes differ from the messages.  A chunk
 returns only its error frames, as (count, offsets, bit-error counts), and
 _reduce_point cuts on the offsets.
 """
@@ -189,9 +192,11 @@ def frame_draws(point_seed, frame_index, payload_bits, channel_bits, sigma):
     frame_index % STREAM_FRAMES of the stream block frame_index //
     STREAM_FRAMES, which is Generator(Philox(key=[point_seed, block])) drawing
     the block's STREAM_FRAMES messages and then its noise, row by row.  The
-    chunked engine draws the same blocks (_chunk_draws).  For point_seed >=
-    2^63 the key's first word is point_seed rounded to a multiple of 2048,
-    not point_seed (see point_seed_for).
+    messages are Generator.integers(0, 2, dtype=np.uint8), which defines
+    them; the chunked engine draws the same blocks from the raw stream
+    bytes (_chunk_draws), and a test holds the two paths equal.  For
+    point_seed >= 2^63 the key's first word is point_seed rounded to a
+    multiple of 2048, not point_seed (see point_seed_for).
     """
     block, row = divmod(frame_index, STREAM_FRAMES)
     gen = np.random.Generator(np.random.Philox(key=[point_seed, block]))
@@ -232,8 +237,23 @@ def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, ax
 
     Each stream block the chunk touches draws its messages, then its noise
     up to the last row the chunk uses into one STREAM_FRAMES-row scratch;
-    sigma * standard normal equals gen.normal(0, sigma) bit for bit.  The
-    rows used are copied in a block at a time, transposed for axis 0.  One
+    sigma * standard normal equals gen.normal(0, sigma) bit for bit.
+
+    A block's messages are the top bits of STREAM_FRAMES * payload_bits raw
+    stream bytes (random_raw's 64-bit words read as bytes), not
+    Generator.integers(0, 2, dtype=np.uint8), which frame_draws uses.  The
+    two are equal: numpy draws a bounded uint8 by Lemire's method, one
+    stream byte b per value, as (2b) >> 8 for two values, with no rejection
+    (its threshold (256 - 2) % 2 is 0).  It takes the bytes from 32-bit
+    draws, low half of each 64-bit word first and low byte of each half
+    first, which is the order in which a little-endian host views a word
+    as bytes.  STREAM_FRAMES is a multiple of 8, so the block's bytes fill
+    whole words either way and leave no buffered half-word: the Philox
+    state the normals start from is the same.  A numpy that changes its
+    bounded-uint8 draw fails the test that compares the two paths.
+
+    The rows used are shifted into place a block at a time, transposed for
+    axis 0, and the noise rows are scaled into place the same way.  One
     Philox serves the chunk: it is built from numpy's own reading of
     key=[point_seed, first block], seeds of 2^63 and more included, and
     each block restores that fresh state (counter 0, empty buffer) with key
@@ -243,6 +263,8 @@ def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, ax
     messages = np.empty((payload_bits, count) if axis == 0 else (count, payload_bits), dtype=np.uint8)
     noise = np.empty((channel_bits, count) if axis == 0 else (count, channel_bits))
     scratch = np.empty((STREAM_FRAMES, channel_bits))
+    # One stream byte per message bit, 8 to a word.
+    message_words = STREAM_FRAMES * payload_bits // 8
     stop = start + count
     first_block = start // STREAM_FRAMES
     bit_generator = np.random.Philox(key=[point_seed, first_block])
@@ -255,8 +277,8 @@ def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, ax
         at = frames if axis else (slice(None), frames)
         fresh["state"]["key"][1] = block
         bit_generator.state = fresh
-        block_messages = gen.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)[lo:hi]
-        messages[at] = block_messages if axis else block_messages.T
+        raw = bit_generator.random_raw(message_words).view(np.uint8).reshape(STREAM_FRAMES, payload_bits)[lo:hi]
+        np.right_shift(raw if axis else raw.T, 7, out=messages[at])
         gen.standard_normal(out=scratch[:hi])
         # Axis 0 transposes on the read side: a strided write is much slower.
         np.multiply(scratch[lo:hi] if axis else scratch[lo:hi].T, sigma, out=noise[at])
@@ -315,17 +337,27 @@ def _rs_bit_errors(messages, received):
     """Encode, transmit, hard-slice and decode one RS(15,11) chunk of
     (count, 44) message rows; returns each frame's information bit errors.
 
-    The GF(16) steps run on bytes of two symbols, np.packbits of the bits:
-    the packed messages are encoded to 8 code bytes and unpacked to the
-    60 channel bits, the sliced bits are packed again and decoded, and the
-    decoded info bytes (pad nibble 0) are XORed with the messages and
-    counted by a byte popcount table.  received is overwritten with the
-    received symbols.
+    The GF(16) steps run on bytes of two symbols: the message rows are
+    padded to 48 bits and packed flat to 6 info bytes a row, encoded to 8
+    code bytes and unpacked flat to the 60 channel bits; the received rows
+    are sliced into a zero-padded (count, 64) buffer, packed flat to 8 bytes
+    a row and decoded, and the decoded info bytes (pad nibble 0) are XORed
+    with the messages and counted by a byte popcount table.  Flat packing
+    runs as one pass, where np.packbits(axis=1) goes row by row.  received
+    is overwritten with the received symbols.
     """
-    info = np.packbits(messages, axis=1)
+    count, payload_bits = messages.shape
+    channel_bits = received.shape[1]
+    info_bytes = -(-payload_bits // 8)
+    padded = np.zeros((count, 8 * info_bytes), dtype=np.uint8)
+    padded[:, :payload_bits] = messages
+    info = np.packbits(padded).reshape(count, info_bytes)
     code = reed_solomon._encode_packed(info)
-    received += channel.modulate(np.unpackbits(code, axis=1, count=received.shape[1]))
-    decoded, _ = reed_solomon._decode_packed(np.packbits(channel.hard_slice(received), axis=1))
+    code_bytes = code.shape[1]
+    received += channel.modulate(np.unpackbits(code).reshape(count, 8 * code_bytes)[:, :channel_bits])
+    sliced = np.zeros((count, 8 * code_bytes), dtype=bool)
+    channel.hard_slice(received, out=sliced[:, :channel_bits])
+    decoded, _ = reed_solomon._decode_packed(np.packbits(sliced).reshape(count, code_bytes))
     return _BYTE_WEIGHTS[decoded ^ info].sum(axis=1)
 
 

@@ -11,6 +11,7 @@ from polarfec import (
     modulate,
 )
 from polarfec.batch import hard_llr_rows
+from polarfec.channel import _scale_to_llrs
 
 
 class TestChannelParams:
@@ -93,6 +94,52 @@ class TestLlr:
             expected = 1.0 / (1.0 + math.exp(-centre))
             assert p_zero == pytest.approx(expected, abs=0.02)
 
+    def test_one_pass_scaling_is_the_two_pass_rule_across_the_grid(self, rng):
+        # y / (sigma^2/2) is 2y / sigma^2 bit for bit, signed zeros,
+        # subnormals and overflow included, over 3000 Eb/N0 values at two rates
+        noise = rng.normal(0.0, 1.0, 128)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300])
+        with np.errstate(over="ignore"):
+            for ebn0 in np.linspace(-30.0, 3060.0, 1500):
+                for rate in (11 / 16, 0.5):
+                    params = ChannelParams(float(ebn0), rate)
+                    sigma = params.noise_sigma
+                    y = np.concatenate([modulate(noise < 0) + sigma * noise, edges])
+                    expected = (2 * y) / (sigma * sigma)
+                    assert np.array_equal(_scale_to_llrs(y, params).view(np.int64), expected.view(np.int64))
+
+    def test_scaling_at_the_smallest_admitted_sigma(self, rng):
+        # below 2^-1021 halving sigma^2 rounds when its last mantissa bit is
+        # set; such sigmas keep the two passes, the rest divide once, and
+        # both give 2y / sigma^2 bit for bit down to the smallest sigma^2
+        # ChannelParams admits (found by bisecting Eb/N0 at rate 1)
+        def admitted(ebn0_db):
+            try:
+                return ChannelParams(ebn0_db, 1.0)
+            except ValueError:
+                return None
+
+        lo, hi = 3000.0, 3100.0
+        assert admitted(lo) and not admitted(hi)
+        while math.nextafter(lo, hi) != hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        y = rng.uniform(-1.5, 1.5, 256)
+        odd = even = 0
+        for ebn0 in [lo, *np.linspace(lo - 0.5, lo, 64)]:
+            params = admitted(float(ebn0))
+            sigma = params.noise_sigma
+            s2 = sigma * sigma
+            assert 2.0**-1022 <= s2 < 2.0**-1021
+            expected = (2 * y) / s2
+            assert np.array_equal(_scale_to_llrs(y.copy(), params).view(np.int64), expected.view(np.int64))
+            if (s2 / 2) * 2 != s2:
+                odd += 1
+                assert not np.array_equal(y / (s2 / 2), expected)
+            else:
+                even += 1
+        assert odd and even
+
 
 class TestHardSlice:
     def test_bpsk_pinned(self):
@@ -101,6 +148,22 @@ class TestHardSlice:
     def test_tie_rule(self):
         assert hard_slice(np.array([0.0]))[0] == 0
         assert hard_slice(np.array([-0.0]))[0] == 0
+        # the output form keeps the rule
+        assert hard_slice(np.array([0.0, -0.0]), out=np.ones(2, dtype=bool)).tolist() == [0, 0]
+
+    def test_out_form_equals_allocating_form(self, rng):
+        # slicing into the first 60 columns of a zero-padded (count, 64) bool
+        # buffer gives the allocating form's bits, as uint8 over that buffer,
+        # and leaves the pad columns zero
+        received = rng.normal(0.0, 1.0, (37, 60))
+        received[0, :3] = [0.0, -0.0, -5e-324]
+        buffer = np.zeros((37, 64), dtype=bool)
+        buffer[:, :60] = True
+        sliced = hard_slice(received, out=buffer[:, :60])
+        assert sliced.dtype == np.uint8 and np.shares_memory(sliced, buffer)
+        assert np.array_equal(sliced, hard_slice(received))
+        assert sliced[0, :3].tolist() == [0, 0, 1]
+        assert not buffer[:, 60:].any()
 
     def test_crossover_matches_q_function(self, rng):
         params = ChannelParams(4.0, 11 / 16)

@@ -59,19 +59,46 @@ class TestFrameStreams:
                     assert np.array_equal(np.take(messages, column, axis=1 - axis), message)
                     assert np.array_equal(np.take(noise, column, axis=1 - axis), frame_noise)
 
-    def test_rekeyed_chunk_matches_reference_above_2_63(self):
-        # one Philox per chunk, re-keyed per block, keeps numpy's rounding
-        # of seeds from 2^63 (this one reads as a multiple of 2048): a chunk
-        # that starts and ends mid-block across four blocks is still the
-        # reference frames, frame for frame, in either layout
-        seed = (1 << 63) + 3 * 2048 + 700
-        start, stop = 2 * STREAM_FRAMES + 100, 5 * STREAM_FRAMES + 37
+    @pytest.mark.parametrize(
+        "payload_bits, channel_bits", [(11, 16), (44, 60), (96, 128), (512, 1024)], ids=["16_11", "rs", "128_96", "1024_512"]
+    )
+    @pytest.mark.parametrize("seed", [2718, (1 << 63) + 3 * 2048 + 700], ids=["below_2_63", "above_2_63"])
+    def test_chunk_draws_match_reference(self, payload_bits, channel_bits, seed):
+        # the chunk's raw-byte messages and its noise are frame_draws' (the
+        # gen.integers reference) at each shape a sweep draws, in both
+        # layouts, for a chunk that starts and ends mid-block across three
+        # blocks; one Philox per chunk, re-keyed per block, keeps numpy's
+        # rounding of seeds from 2^63 (this one reads as a multiple of
+        # 2048); the (1024, 512) frames are sampled at the block edges
+        start, stop = STREAM_FRAMES + 100, 3 * STREAM_FRAMES + 37
+        frames = range(start, stop)
+        if channel_bits > 128:
+            edges = (2 * STREAM_FRAMES, 3 * STREAM_FRAMES)
+            frames = sorted({start, start + 1, stop - 1, *(e + d for e in edges for d in (-1, 0, 1)), 700})
+        reference = {frame: frame_draws(seed, frame, payload_bits, channel_bits, 0.7) for frame in frames}
         for axis in (0, 1):
-            messages, noise = sweep_module._chunk_draws(seed, start, stop - start, 11, 16, 0.7, axis)
-            for column, frame in enumerate(range(start, stop)):
-                message, frame_noise = frame_draws(seed, frame, 11, 16, 0.7)
-                assert np.array_equal(np.take(messages, column, axis=1 - axis), message)
-                assert np.array_equal(np.take(noise, column, axis=1 - axis), frame_noise)
+            messages, noise = sweep_module._chunk_draws(seed, start, stop - start, payload_bits, channel_bits, 0.7, axis)
+            count = stop - start
+            assert messages.shape == ((payload_bits, count) if axis == 0 else (count, payload_bits))
+            assert noise.shape == ((channel_bits, count) if axis == 0 else (count, channel_bits))
+            for frame, (message, frame_noise) in reference.items():
+                assert np.array_equal(np.take(messages, frame - start, axis=1 - axis), message)
+                assert np.array_equal(np.take(noise, frame - start, axis=1 - axis), frame_noise)
+
+    @pytest.mark.parametrize("payload_bits", [11, 44, 96, 512])
+    @pytest.mark.parametrize("seed", [2718, (1 << 63) + 5], ids=["below_2_63", "above_2_63"])
+    def test_raw_stream_bytes_are_the_bounded_bit_draw(self, payload_bits, seed):
+        # the top bit of each raw Philox byte is gen.integers(0, 2, uint8),
+        # numpy's bounded-uint8 draw, and the normals after either are the
+        # same; a numpy that changes that draw fails here
+        reference_bits, raw_bits = np.random.Philox(key=[seed, 3]), np.random.Philox(key=[seed, 3])
+        reference = np.random.Generator(reference_bits)
+        expected = reference.integers(0, 2, size=(STREAM_FRAMES, payload_bits), dtype=np.uint8)
+        raw = raw_bits.random_raw(STREAM_FRAMES * payload_bits // 8).view(np.uint8)
+        assert np.array_equal(np.right_shift(raw, 7).reshape(STREAM_FRAMES, payload_bits), expected)
+        assert reference_bits.state["has_uint32"] == raw_bits.state["has_uint32"] == 0
+        normals = reference.standard_normal(1000)
+        assert np.array_equal(np.random.Generator(raw_bits).standard_normal(1000), normals)
 
     def test_frame_draws_reproducible(self):
         a = frame_draws(7, 99, 11, 16, 0.5)
