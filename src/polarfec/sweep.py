@@ -26,7 +26,13 @@ into its noise and slices it into a padded buffer, packs the sliced bits,
 decodes them through the syndrome table and counts the bits in which the
 decoded info bytes differ from the messages.  A chunk
 returns only its error frames, as (count, offsets, bit-error counts), and
-_reduce_point cuts on the offsets.
+_cut, the one stop rule, cuts on the offsets.
+
+A point runs its chunks in order (_simulate_point) and returns its record
+in the same shape, cut at its stop.  A pool of workers takes whole points
+when the grid has at least as many points as the pool has processes, so
+no chunk waits on the parent and none runs past a stop; a smaller grid
+hands the pool one point's chunks at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, pairwise
 
@@ -404,36 +409,72 @@ def run_sweep(config, workers=1):
     per-frame error sequence.  Each point's chunks start at one block and
     double up to CHUNK_FRAMES.  With workers > 1 the whole sweep shares one
     process pool of min(workers, chunks per point, CPU count) processes,
-    each set up by _init_worker.  config was checked, and its code
-    resolved, when it was built.
+    each set up by _init_worker.  A grid of at least that many points hands
+    the pool whole points (_simulate_point, submitted in grid order), so a
+    worker runs a point's chunks back to back; a smaller grid hands it the
+    chunks of one point at a time, at most one per process in flight
+    (_in_order).  At one worker each point runs _simulate_point in this
+    process.  config was checked, and its code resolved, when it was built.
     """
     workers = _as_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     payload_bits, _, rate = _frame_shape(config)
-    max_frames = config.max_frames
-    ramp, steady = _chunk_starts(max_frames)
+    ramp, steady = _chunk_starts(config.max_frames)
     pool_size = min(workers, len(ramp) + len(steady), os.cpu_count() or 1)
-    points = []
-    executor = ProcessPoolExecutor(pool_size, initializer=_init_worker) if pool_size > 1 else nullcontext()
-    with executor as pool:
-        for point_index, ebn0 in enumerate(config.ebn0_points()):
-            params = channel.ChannelParams(ebn0, rate)
-            pseed = point_seed_for(config.master_seed, point_index)
-            chunks = (
-                (config, pseed, start, stop - start, params)
-                for start, stop in pairwise(chain(ramp, steady, [max_frames]))
-            )
-            # Passed inline, the results iterator is dropped, and its queued
-            # chunks are cancelled, as soon as _reduce_point returns.
-            points.append(_reduce_point(
-                ebn0,
-                map(_simulate_chunk, chunks) if pool is None
-                else _in_order(pool, chunks, pool_size),
-                config.min_frame_errors,
-                payload_bits,
-            ))
-    return points
+    grid = config.ebn0_points()
+    tasks = (
+        (config, point_seed_for(config.master_seed, point_index), channel.ChannelParams(ebn0, rate))
+        for point_index, ebn0 in enumerate(grid)
+    )
+
+    def reduce(ebn0, results):
+        return _reduce_point(ebn0, results, config.min_frame_errors, payload_bits)
+
+    if pool_size == 1:
+        return [reduce(ebn0, [_simulate_point(task)]) for ebn0, task in zip(grid, tasks)]
+    with ProcessPoolExecutor(pool_size, initializer=_init_worker) as pool:
+        if len(grid) >= pool_size:
+            futures = [pool.submit(_simulate_point, task) for task in tasks]
+            try:
+                return [reduce(ebn0, [future.result()]) for ebn0, future in zip(grid, futures)]
+            finally:
+                for future in futures:
+                    future.cancel()
+        # Passed inline, each results iterator is dropped, and its queued
+        # chunks are cancelled, as soon as _reduce_point returns.
+        return [
+            reduce(ebn0, _in_order(pool, _point_chunks(*task), pool_size))
+            for ebn0, task in zip(grid, tasks)
+        ]
+
+
+def _point_chunks(config, point_seed, params):
+    """The _simulate_chunk arguments of one point's chunks, in index order,
+    made as they are taken."""
+    ramp, steady = _chunk_starts(config.max_frames)
+    for start, stop in pairwise(chain(ramp, steady, [config.max_frames])):
+        yield config, point_seed, start, stop - start, params
+
+
+def _simulate_point(args):
+    """Simulate one point up to its stop: its chunks in index order, each
+    made and run (through _simulate_chunk) only once the ones before it
+    have not reached config.min_frame_errors, and the last one cut at the
+    exact frame that reaches it (_cut).
+
+    args is (config, point_seed, params).  Returns the point's record in a
+    chunk's shape, (frames, offsets, bit_errors), with offsets counted from
+    the point's frame 0; _reduce_point takes it as a one-chunk point.
+    """
+    config = args[0]
+    frames, offsets, bit_errors = 0, [], []
+    chunks = map(_simulate_chunk, _point_chunks(*args))
+    for count, chunk_offsets, chunk_bits in _cut(chunks, config.min_frame_errors):
+        offsets.append(chunk_offsets + frames)
+        bit_errors.append(chunk_bits)
+        frames += count
+    return frames, np.concatenate(offsets), np.concatenate(bit_errors)
 
 
 def _in_order(pool, chunks, window):
@@ -452,17 +493,26 @@ def _in_order(pool, chunks, window):
             future.cancel()
 
 
+def _cut(results, min_frame_errors):
+    """Chunk results of one point in index order, up to the exact frame
+    whose error reaches min_frame_errors: the chunk holding that frame is
+    cut after it, and no result is taken after it.  The sweep's one stop
+    rule; cutting a record it has cut leaves it as it is."""
+    frame_errors = 0
+    for count, offsets, per_error_bits in results:
+        needed = min_frame_errors - frame_errors
+        if len(offsets) >= needed:
+            yield int(offsets[needed - 1]) + 1, offsets[:needed], per_error_bits[:needed]
+            return
+        frame_errors += len(offsets)
+        yield count, offsets, per_error_bits
+
+
 def _reduce_point(ebn0, results, min_frame_errors, payload_bits):
     """One point's SweepPoint from its chunk results, taken in index order
     up to the exact frame whose error reaches min_frame_errors."""
     frames = bit_errors = frame_errors = 0
-    for count, offsets, per_error_bits in results:
-        needed = min_frame_errors - frame_errors
-        if len(offsets) >= needed:
-            frames += int(offsets[needed - 1]) + 1
-            bit_errors += int(per_error_bits[:needed].sum())
-            frame_errors = min_frame_errors
-            break
+    for count, offsets, per_error_bits in _cut(results, min_frame_errors):
         frames += count
         bit_errors += int(per_error_bits.sum())
         frame_errors += len(offsets)

@@ -546,6 +546,38 @@ class TestRunSweep:
         points, _ = parse_csv(texts[0])
         assert [p.frames for p in points] == [187, 348, 1271, 5000]
 
+    # Early stop cuts in the first chunk at 0 dB, in the second at 1 and 2
+    # dB, in a middle one at 3 dB and in the last at 4 dB; 5-8 dB run to
+    # max_frames, which no chunk size divides.
+    NINE_POINTS = dict(
+        code=(16, 11), decoder="soft_minsum", ebn0_start=0.0, ebn0_stop=8.0, ebn0_step=1.0,
+        max_frames=5000, min_frame_errors=80, master_seed=0,
+    )
+
+    def test_nine_point_grid_invariant_to_workers(self):
+        config = SweepConfig(**self.NINE_POINTS)
+        serial = run_sweep(config, workers=1)
+        assert [p.frames for p in serial] == [182, 300, 669, 1954, 4610] + [5000] * 4
+        assert run_sweep(config, workers=2) == serial
+        assert run_sweep(config, workers=3) == serial
+
+    @pytest.mark.parametrize("point_index", [0, 1, 3, 4, 5])
+    def test_point_record_is_its_chunks_cut_at_the_stop(self, point_index):
+        config = SweepConfig(**self.NINE_POINTS)
+        seed = point_seed_for(config.master_seed, point_index)
+        params = ChannelParams(config.ebn0_points()[point_index], 11 / 16)
+        dense = np.concatenate([
+            dense_bit_errors(sweep_module._simulate_chunk(chunk))
+            for chunk in sweep_module._point_chunks(config, seed, params)
+        ])
+        assert len(dense) == config.max_frames
+        errors = np.flatnonzero(dense)
+        stop = errors[config.min_frame_errors - 1] + 1 if len(errors) >= config.min_frame_errors else len(dense)
+        frames, offsets, bit_errors = sweep_module._simulate_point((config, seed, params))
+        assert frames == stop
+        np.testing.assert_array_equal(offsets, errors[errors < stop])
+        np.testing.assert_array_equal(bit_errors, dense[errors[errors < stop]])
+
     def test_fixed_sweep_runs(self, spec16_11):
         config = small_config(code=spec16_11, decoder="fixed", quant_bits=5, frac_bits=1)
         (p0, p1) = run_sweep(config)
@@ -559,10 +591,12 @@ class TestRunSweep:
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records each pool's size and runs
-    every submitted chunk inline, so no process is started."""
+    """Stands in for ProcessPoolExecutor: records each pool's size and the
+    name of each submitted task, and runs every task inline, so no process
+    is started."""
 
     opened = []
+    submitted = []
 
     def __init__(self, max_workers, initializer=None):
         self.opened.append(max_workers)
@@ -574,8 +608,37 @@ class RecordingPool:
         return False
 
     def submit(self, fn, *args):
+        self.submitted.append(fn.__name__)
         future = Future()
         future.set_result(fn(*args))
+        return future
+
+
+class QueuedFuture(Future):
+    """A task that never leaves the queue: waiting on it fails the test
+    instead of hanging it."""
+
+    def result(self, timeout=None):
+        assert self.done(), "waited on a task that never ran"
+        return super().result(timeout)
+
+
+class StalledPool(RecordingPool):
+    """A RecordingPool whose first two tasks run (inline, an exception going
+    to its future) and whose later tasks stay queued."""
+
+    futures = []
+
+    def submit(self, fn, *args):
+        if len(self.futures) >= 2:
+            future = QueuedFuture()
+        else:
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except RuntimeError as exc:
+                future.set_exception(exc)
+        self.futures.append(future)
         return future
 
 
@@ -602,6 +665,7 @@ class TestSweepDriver:
     @pytest.fixture()
     def pools(self, monkeypatch):
         monkeypatch.setattr(RecordingPool, "opened", [])
+        monkeypatch.setattr(RecordingPool, "submitted", [])
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
         # pool sizes below do not depend on the host's CPU count
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 64)
@@ -643,6 +707,38 @@ class TestSweepDriver:
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: None)  # unknown: one process
         run_sweep(small_config(max_frames=6000), workers=100_000)
         assert pools == [2]
+
+    def test_pool_takes_points_unless_the_grid_is_smaller(self, pools):
+        config = small_config(max_frames=6000)  # two points of five chunks
+        serial = run_sweep(config)
+        assert RecordingPool.submitted == []
+        assert run_sweep(config, workers=3) == serial
+        assert pools == [3]
+        assert set(RecordingPool.submitted) == {"_simulate_chunk"}
+        RecordingPool.submitted.clear()
+        assert run_sweep(config, workers=2) == serial
+        assert pools == [3, 2]
+        assert RecordingPool.submitted == ["_simulate_point"] * 2
+
+    def test_failed_point_raises_and_cancels_queued_points(self, monkeypatch, pools):
+        config = small_config(ebn0_start=0.0, ebn0_stop=8.0)
+        failing_seed = point_seed_for(config.master_seed, 1)
+        simulate_chunk = sweep_module._simulate_chunk
+
+        def failing_chunk(args):
+            if args[1] == failing_seed:
+                raise RuntimeError("chunk failed")
+            return simulate_chunk(args)
+
+        monkeypatch.setattr(sweep_module, "_simulate_chunk", failing_chunk)
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", StalledPool)
+        monkeypatch.setattr(StalledPool, "futures", [])
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run_sweep(config, workers=2)
+        futures = StalledPool.futures
+        assert len(futures) == 9
+        assert not any(future.cancelled() for future in futures[:2])
+        assert all(future.cancelled() for future in futures[2:])
 
     def test_chunks_are_generated_lazily(self, monkeypatch, spec16_11):
         simulated = []
