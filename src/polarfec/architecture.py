@@ -14,7 +14,13 @@ Three hardware scheduling strategies for the same processing-element tree
 Each design is a data-independent clock plan: the same SC node operations
 (F or G at a stage on a node), grouped into clocks, with every activation
 prebuilt.  One executor runs any plan with two operations, F and G, feeding
-every G from running partial sums that each decision updates.  The model is
+every G from running partial sums that each decision updates.  A proposed
+clock repeats its root-to-leaf path; an operation on it whose (function,
+node) already sits in its stage buffer, with no new operation above it, is
+the combinational chain giving an unchanged value again: it emits its
+activations for that clock but is not computed a second time.  So every
+design computes each SC node operation once, N*log2(N) F and G evaluations
+per decode, the same as the reference decoder.  The model is
 transaction level: combinational depth inside a clock is represented by
 activation ordering, not timing.  Traces are executed functionally with
 min-sum arithmetic and must decode bit-identically to the reference decoder;
@@ -25,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem, xor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +73,8 @@ def schedule_label(n_bits, arch):
     latency_clocks(n_bits, arch)  # validates n_bits and arch
     groups = []
     for steps in _clock_plan(n_bits.bit_length() - 1, arch):
-        groups.append("(" + "-".join(function for function, _, _, _ in steps) + ")")
-        if any(stage == 0 and function == "G" for function, stage, _, _ in steps):
+        groups.append("(" + "-".join("G" if step.is_g else "F" for step in steps) + ")")
+        if any(step.is_g and not step.stage for step in steps):
             return "-".join(groups)
 
 
@@ -102,11 +110,11 @@ class ScheduleTrace:
 
     def decoded_bits(self):
         """Source-vector estimate assembled from the per-clock decisions."""
-        u = np.zeros(self.code.block_len, dtype=np.uint8)
+        u = [0] * self.code.block_len
         for per_clock in self.decoded_pairs:
             for idx, bit in per_clock:
                 u[idx] = bit
-        return u
+        return np.array(u, dtype=np.uint8)
 
 
 def build_schedule(spec, arch, channel_llrs):
@@ -134,35 +142,75 @@ def build_schedule(spec, arch, channel_llrs):
     )
 
 
+class _Step(NamedTuple):
+    """One SC node operation of a clock plan, in the form _execute runs.
+
+    is_g: a G (else an F); the operation reads stage + 1's buffer of 2 * half
+    values and writes stage's.  fixed holds the prebuilt activations: an
+    F's, or one (feedback 0, feedback 1) pair per PE of a G.  reuse marks an
+    operation whose result already sits in its stage buffer.  leaf is None
+    above stage 0, else (index, merges): the decided bit's index and the
+    (left, right) slices of every aligned block of partial sums it completes.
+    """
+
+    is_g: bool
+    stage: int
+    base: int
+    half: int
+    fixed: tuple
+    reuse: bool
+    leaf: tuple | None
+
+
 @lru_cache(maxsize=16)
 def _clock_plan(stages, arch):
-    """Data-independent clock plan: the SC node operations grouped into clocks.
+    """Data-independent clock plan: the SC node operations grouped into
+    clocks, as a tuple of clocks, each a tuple of _Step.
 
-    Walks the SC tree depth-first (F, left subtree, G, right subtree).  A
-    node operation is (function, stage, node_base, fixed), function "F" or
-    "G": fixed holds the prebuilt activations of an F, and of a G one
-    (feedback 0, feedback 1) activation pair per PE.  conventional gives
-    every F and G visit its own clock; two_bit_sc gives a size-2 node one
-    clock for the merged PE; proposed gives each size-2 node one clock
-    holding its root-to-node F/G path plus the merged PE.  The merged PE
-    runs as a stage-0 F with no activation of its own, then a stage-0 G
-    whose activation is the FG one.
+    Walks the SC tree depth-first (F, left subtree, G, right subtree).
+    conventional gives every F and G visit its own clock; two_bit_sc gives a
+    size-2 node one clock for the merged PE; proposed gives each size-2 node
+    one clock holding its root-to-node F/G path plus the merged PE.  The
+    merged PE runs as a stage-0 F with no activation of its own, then a
+    stage-0 G whose activation is the FG one.
+
+    Reuse rule: an operation is reused when its (function, base) is what its
+    stage buffer holds and no operation above it has rewritten that buffer's
+    input since, which only a proposed path has: the combinational chain
+    gives the unchanged value again.  A reused G's feedback has not changed
+    either, because its left block's partial sums change only when its node
+    completes, and then the path has left that node.
     """
     clocks = []
+    held = [None] * stages  # (is_g, base) of the value each stage buffer holds
 
     def emit(path):
         clock = len(clocks)
         steps = []
         for function, stage, base, label in path:
+            is_g = function == "G"
             half = 1 << stage
             pes = [(j, j + half) for j in range(half)] if label else []
-            if function == "F":
-                fixed = tuple(PeActivation(clock, stage, label, ab, 0, None, base) for ab in pes)
-            else:
+            if is_g:
                 fixed = tuple(
                     tuple(PeActivation(clock, stage, label, ab, 1, bit, base) for bit in (0, 1)) for ab in pes
                 )
-            steps.append((function, stage, base, fixed))
+            else:
+                fixed = tuple(PeActivation(clock, stage, label, ab, 0, None, base) for ab in pes)
+            reuse = held[stage] == (is_g, base)
+            if not reuse:
+                held[stage] = (is_g, base)
+                held[:stage] = [None] * stage
+            leaf = None
+            if not stage:
+                index = base + is_g
+                merges = []
+                size = 1
+                while index & size:  # the aligned block of 2 * size bits that index completes
+                    merges.append((slice(index + 1 - 2 * size, index + 1 - size), slice(index + 1 - size, index + 1)))
+                    size *= 2
+                leaf = (index, tuple(merges))
+            steps.append(_Step(is_g, stage, base, half, fixed, reuse, leaf))
         clocks.append(tuple(steps))
 
     def walk(stage, base, path):
@@ -185,41 +233,47 @@ def _clock_plan(stages, arch):
 def _execute(plan, llrs, frozen):
     """Run a clock plan on per-stage LLR buffers with min-sum F and G.
 
-    An operation at stage s reads its node's 2^(s+1) LLRs from buffer s + 1
-    and writes its child's 2^s LLRs to buffer s; at stage 0 that child is a
-    leaf and its bit is decided.  Each decision sets its bit in the running
+    A step at stage s reads its node's 2^(s+1) LLRs from buffer s + 1 and
+    writes its child's 2^s LLRs to buffer s; at stage 0 that child is a leaf
+    and its bit is decided.  Each decision sets its bit in the running
     partial sums and XOR-merges the halves of every aligned block it
     completes, so a G's feedback is sums[base : base + half], the transform
-    of its node's decided left block.  Returns (activations, decoded_pairs).
+    of its node's decided left block.  Every step emits its activations, but
+    a reused step does no arithmetic: its (function, node) is what its stage
+    buffer already holds and no new step above it has changed its input
+    (a proposed path repeating itself), so each SC node operation is
+    computed once per decode.  Returns (activations, decoded_pairs).
     """
+    f, g = f_minsum, g_func
     buffers = [None] * (len(llrs).bit_length() - 1) + [llrs]
     sums = [0] * len(llrs)
     activations = []
     pairs = []
     for steps in plan:
-        pairs.append([])
-        for function, stage, base, fixed in steps:
-            v = buffers[stage + 1]
-            half = len(v) // 2
-            if function == "F":
-                out = [f_minsum(v[j], v[j + half]) for j in range(half)]
-                activations += fixed
-            else:
+        decided = []
+        for is_g, stage, base, half, fixed, reuse, leaf in steps:
+            if is_g:
                 bits = sums[base : base + half]
-                out = [g_func(v[j], v[j + half], bit) for j, bit in enumerate(bits)]
-                activations += [pair[bit] for pair, bit in zip(fixed, bits)]
-            buffers[stage] = out
-            if stage:
+                activations += map(getitem, fixed, bits)
+            else:
+                activations += fixed
+            if reuse:
                 continue
-            index = base if function == "F" else base + 1
-            bit = 1 if out[0] < 0 and not frozen[index] else 0
-            pairs[-1].append((index, bit))
+            v = buffers[stage + 1]
+            if leaf is None:
+                if is_g:
+                    buffers[stage] = list(map(g, v[:half], v[half:], bits))
+                else:
+                    buffers[stage] = list(map(f, v[:half], v[half:]))
+                continue
+            index, merges = leaf
+            llr = g(v[0], v[1], bits[0]) if is_g else f(v[0], v[1])
+            bit = 1 if llr < 0 and not frozen[index] else 0
+            decided.append((index, bit))
             sums[index] = bit
-            size = 1
-            while index & size:  # merge the aligned block of 2 * size bits that index completes
-                left = slice(index + 1 - 2 * size, index + 1 - size)
-                sums[left] = [a ^ b for a, b in zip(sums[left], sums[index + 1 - size : index + 1])]
-                size *= 2
+            for left, right in merges:
+                sums[left] = map(xor, sums[left], sums[right])
+        pairs.append(decided)
     return activations, pairs
 
 

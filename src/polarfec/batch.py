@@ -257,8 +257,8 @@ def _u_hat_rows(x_hat):
 
 def _f_minsum(a, b, out, scratch):
     """sign(a*b) * min(|a|, |b|) as max(min(a, b), -max(a, b)), exact in
-    every dtype.  A zero may come out as -0.0 where the scalar gives 0.0;
-    both compare and add as zero, so no decision differs."""
+    every dtype.  A zero may come out as -0.0, as codec.f_minsum's may;
+    it compares and adds as zero, so no decision differs."""
     np.minimum(a, b, out=out)
     np.negative(np.maximum(a, b, out=scratch), out=scratch)
     np.maximum(out, scratch, out=out)

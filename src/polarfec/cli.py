@@ -145,8 +145,13 @@ def _cmd_sweep(args):
 def _cmd_latency(args):
     spec = _load_spec(args)
     n, k = spec.block_len, spec.info_len
+    seed = codec._as_int("--seed", args.seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {seed}")
     if args.trace:
-        gen = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
+        # The frame is keyed by the exact 64-bit seed: a list key would turn a
+        # seed of 2^63 or more into a float and wrap a negative one.
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         llrs = gen.normal(0.0, 2.0, size=spec.block_len)
         trace = architecture.build_schedule(spec, args.arch, llrs)
         _write_out(architecture.format_trace(trace), args.out)

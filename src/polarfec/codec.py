@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from operator import xor
 
 import numpy as np
 
@@ -130,11 +131,20 @@ def _jacobi(a, b):
 def f_minsum(la, lb):
     """Hardware-friendly approximation sign(la*lb) * min(|la|, |lb|).
 
-    A zero operand is treated as positive, so any zero input yields zero
-    through the min term.
+    A zero operand is treated as positive.  Sign-branch comparisons return
+    +-la or +-lb with no min or abs call, since the scalar decoders and the
+    schedule executor call this once per F.  The value equals sign * min
+    under ==, but a zero may come out as -0.0 (f_minsum(-0.0, 1.0), say):
+    -0.0 == 0.0, -0.0 < 0 is false and a sum with -0.0 equals the sum with
+    0.0, so no decision and no later value can differ.
     """
-    mag = min(abs(la), abs(lb))
-    return -mag if (la < 0) != (lb < 0) else mag
+    if la < 0:
+        if lb < 0:
+            return -la if la >= lb else -lb
+        return la if -la <= lb else -lb
+    if lb < 0:
+        return -la if la <= -lb else lb
+    return la if la <= lb else lb
 
 
 def g_func(la, lb, u_hat):
@@ -150,31 +160,32 @@ _F_MODES = {"exact": f_exact, "minsum": f_minsum}
 def _sc_recursion(values, frozen, f, g):
     """Scalar SC traversal shared by the float and fixed-point decoders.
 
-    values: the N channel values as a list; frozen: length-N mask; f(a, b)
-    and g(a, b, bit) combine one operand pair.  Returns (u_hat, x_hat), where
-    x_hat is the root's partial sums, i.e. transform(u_hat).  Every node is
-    visited, so a decode always makes N*log2(N) F and G evaluations.
+    values: the N channel values as a list; frozen: the length-N frozen mask
+    as a list; f(a, b) and g(a, b, bit) combine one operand pair.  Returns
+    (u_hat, x_hat), where x_hat is the root's partial sums, i.e.
+    transform(u_hat).  Every node is visited, so a decode always makes
+    N*log2(N) F and G evaluations.
     """
-    u_hat = np.zeros(len(values), dtype=np.uint8)
-    x_hat = np.array(_sc_node(values, 0, frozen, f, g, u_hat), dtype=np.uint8)
-    return u_hat, x_hat
+    u_hat = [0] * len(values)
+    x_hat = _sc_node(values, 0, frozen, f, g, u_hat)
+    return np.array(u_hat, dtype=np.uint8), np.array(x_hat, dtype=np.uint8)
 
 
 def _sc_node(v, base, frozen, f, g, u_hat):
     """_sc_recursion's node of len(v) values at bit base: decides its bits
-    into u_hat and returns its partial sums.  A module-level function, not
-    a closure, so a decode leaves no reference cycle behind."""
-    m = len(v)
-    if m == 1:
-        if not frozen[base] and v[0] < 0:
+    into the list u_hat and returns its partial sums.  A module-level
+    function, not a closure, so a decode leaves no reference cycle behind."""
+    half = len(v) // 2
+    if not half:
+        if v[0] < 0 and not frozen[base]:
             u_hat[base] = 1
-        return [int(u_hat[base])]
-    half = m // 2
+            return [1]
+        return [0]
     a = v[:half]
     b = v[half:]
-    left = _sc_node([f(a[j], b[j]) for j in range(half)], base, frozen, f, g, u_hat)
-    right = _sc_node([g(a[j], b[j], left[j]) for j in range(half)], base + half, frozen, f, g, u_hat)
-    return [left[j] ^ right[j] for j in range(half)] + right
+    left = _sc_node(list(map(f, a, b)), base, frozen, f, g, u_hat)
+    right = _sc_node(list(map(g, a, b, left)), base + half, frozen, f, g, u_hat)
+    return list(map(xor, left, right)) + right
 
 
 def sc_decode(channel_llrs, spec, f_mode="minsum"):
@@ -200,7 +211,7 @@ def sc_decode(channel_llrs, spec, f_mode="minsum"):
     llrs = _llr_frame(channel_llrs, spec)
     if f_mode not in _F_MODES:
         raise ValueError(f"f_mode must be one of {tuple(_F_MODES)}, got {f_mode!r}")
-    u_hat, x_hat = _sc_recursion(llrs.tolist(), spec.frozen_mask(), _F_MODES[f_mode], g_func)
+    u_hat, x_hat = _sc_recursion(llrs.tolist(), spec.frozen_mask().tolist(), _F_MODES[f_mode], g_func)
     return DecodeResult(
         u_hat=u_hat,
         x_hat=x_hat,

@@ -84,7 +84,7 @@ def sc_decode_fixed(channel_llrs, spec, qspec):
         return max_mag if out > 0 else -max_mag
 
     u_hat, x_hat = _sc_recursion(
-        quantize_rows(llrs, qspec).tolist(), spec.frozen_mask(), f_minsum, g_sat
+        quantize_rows(llrs, qspec).tolist(), spec.frozen_mask().tolist(), f_minsum, g_sat
     )
     return DecodeResult(
         u_hat=u_hat,

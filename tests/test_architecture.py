@@ -5,6 +5,7 @@ import pytest
 
 from polarfec import (
     ARCH_KINDS,
+    architecture,
     bhattacharyya_construct,
     build_schedule,
     encode_nonsystematic,
@@ -93,6 +94,30 @@ class TestSchedules:
             assert trace.total_clocks == latency_clocks(n_bits, arch)
             assert trace.total_clocks == 1 + max(a.clock for a in trace.activations)
             assert len(trace.activations) == ACTIVATION_COUNTS[arch](n_bits, spec.stages)
+
+    @pytest.mark.parametrize("arch", ARCH_KINDS)
+    def test_each_node_operation_computed_once(self, arch, monkeypatch):
+        # proposed emits its unchanged root-to-leaf path on every clock, but
+        # the executor computes each SC node operation once, as SC does
+        calls = []
+
+        def counted(function):
+            def stand_in(*args):
+                calls.append(function.__name__)
+                return function(*args)
+
+            return stand_in
+
+        monkeypatch.setattr(architecture, "f_minsum", counted(f_minsum))
+        monkeypatch.setattr(architecture, "g_func", counted(g_func))
+        for n_bits in (4, 8, 16, 32, 128):
+            spec = bhattacharyya_construct(n_bits, max(1, 3 * n_bits // 4))
+            for llrs in trace_frames(n_bits)[:3]:
+                calls.clear()
+                trace = build_schedule(spec, arch, llrs)
+                assert len(calls) == n_bits * spec.stages
+                assert calls.count("f_minsum") == calls.count("g_func")
+                assert len(trace.activations) == ACTIVATION_COUNTS[arch](n_bits, spec.stages)
 
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_cosimulation_matches_golden(self, arch, spec16_11, noisy_frames):

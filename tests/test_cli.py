@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -357,6 +359,27 @@ class TestLatencyCommand:
         llrs = np.random.Generator(np.random.Philox(key=[3, 0])).normal(0.0, 2.0, size=16)
         assert out == format_trace(build_schedule(spec, "two_bit_sc", llrs))
         assert out != format_trace(build_schedule(spec16_11, "two_bit_sc", llrs))
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_trace_rejects_seed_outside_64_bits(self, capsys, seed):
+        code, out, err = run_cli(capsys, "latency", "--trace", "--seed", seed)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: --seed must be in [0, 2^64), got {seed}"]
+
+    def test_trace_keys_the_exact_64_bit_seed(self, capsys, spec16_11):
+        def trace(seed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "latency", "--trace", "--seed", str(seed))
+            assert code == 0 and err == ""
+            return out
+
+        top = (1 << 64) - 1
+        key = np.array([top, 0], dtype=np.uint64)
+        llrs = np.random.Generator(np.random.Philox(key=key)).normal(0.0, 2.0, size=16)
+        assert trace(top) == format_trace(build_schedule(spec16_11, "proposed", llrs))
+        assert trace(top) != trace(0)
+        assert trace((1 << 63) + 1) != trace((1 << 63) + 2)
 
     def test_table_from_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "code.spec"

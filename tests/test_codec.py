@@ -155,6 +155,28 @@ class TestPeFunctions:
         assert f_minsum(0.0, 5.0) == 0.0
         assert f_minsum(-4.0, -1.5) == 1.5
 
+    def test_f_minsum_matches_sign_min_formula(self):
+        """f_minsum equals sign * min(|a|, |b|), zero treated as positive,
+        under == on adversarial pairs, and a non-zero result carries that
+        sign.  A zero result may be -0.0 where the formula gives 0.0: it
+        compares, adds and decides (-0.0 < 0 is false) as 0.0 does."""
+        big = np.finfo(float).max / 16
+        tiny = np.nextafter(0.0, 1.0)
+        floats = [0.0, -0.0, 1.5, -1.5, tiny, -tiny, np.finfo(float).tiny, -np.finfo(float).tiny, big, -big]
+        grid = [0, 1, -1, 15, -15, (1 << 30) - 1, -((1 << 30) - 1)]  # Q5 and Q31 grid integers
+        numpy_values = [np.float64(-0.0), np.float64(2.5), np.float64(-2.5), np.int64(-7)]
+        values = floats + grid + numpy_values
+        for a, b in product(values, repeat=2):
+            magnitude = min(abs(a), abs(b))
+            expected = -magnitude if (a < 0) != (b < 0) else magnitude
+            got = f_minsum(a, b)
+            assert got == expected, (a, b)
+            if expected != 0:
+                assert math.copysign(1, got) == math.copysign(1, expected), (a, b)
+        for x in (2.0, 3, big, tiny):  # equal magnitudes, opposite signs
+            assert f_minsum(x, -x) == f_minsum(-x, x) == -x
+            assert f_minsum(x, x) == f_minsum(-x, -x) == x
+
     def test_g_func_pinned(self):
         assert g_func(1.5, 2.0, 0) == 3.5
         assert g_func(1.5, 2.0, 1) == 0.5
