@@ -16,6 +16,9 @@ import numpy as np
 
 from .batch import _encode_systematic, butterfly
 
+# Most unit messages validate_domination encodes in one batch.
+DOMINATION_BLOCK = 4096
+
 
 def is_power_of_two(n):
     return n > 0 and (n & (n - 1)) == 0
@@ -75,6 +78,14 @@ class CodeSpec:
             raise ValueError("frozen_set and info_set must be disjoint")
         if set(frozen) | set(info) != set(range(n)):
             raise ValueError("frozen_set and info_set must partition [0, N)")
+        mask = np.zeros(n, dtype=bool)
+        mask[list(frozen)] = True
+        mask.flags.writeable = False
+        object.__setattr__(self, "_frozen_mask", mask)
+
+    def __reduce__(self):
+        # An unpickled array is writeable, so a copy rebuilds its mask.
+        return CodeSpec, (self.block_len, self.info_len, self.frozen_set, self.info_set)
 
     @property
     def stages(self):
@@ -87,10 +98,9 @@ class CodeSpec:
         return Fraction(self.info_len, self.block_len)
 
     def frozen_mask(self):
-        """Boolean mask of length N, True at frozen positions."""
-        mask = np.zeros(self.block_len, dtype=bool)
-        mask[list(self.frozen_set)] = True
-        return mask
+        """Boolean mask of length N, True at frozen positions; made once per
+        CodeSpec and read-only, so every caller sees the same mask."""
+        return self._frozen_mask
 
 
 def bhattacharyya_reliabilities(n_bits, z0):
@@ -147,15 +157,21 @@ def validate_domination(spec):
     Exact means every codeword carries its message verbatim on info_set and
     its transform is zero on frozen_set.  The encoder is GF(2)-linear, so it
     is exact for all 2^K messages if and only if it is exact for the K unit
-    messages, encoded here as one frame-minor batch (the K x K identity is
-    its own transpose).  The verdict is cached per hashable, frozen CodeSpec.
+    messages.  They are encoded as frame-minor batches of at most
+    DOMINATION_BLOCK, successive column blocks of the K x K identity, so
+    the check holds about 3.5 * N * DOMINATION_BLOCK bytes at most, however
+    large K is.  The verdict is cached per hashable, frozen CodeSpec.
     """
-    identity = np.eye(spec.info_len, dtype=np.uint8)
-    codewords = _encode_systematic(identity, spec)
-    if not np.array_equal(codewords[list(spec.info_set)], identity):
-        return False
-    butterfly(codewords)
-    return not codewords[list(spec.frozen_set)].any()
+    k, info, frozen = spec.info_len, list(spec.info_set), list(spec.frozen_set)
+    for lo in range(0, k, DOMINATION_BLOCK):
+        units = np.eye(k, min(DOMINATION_BLOCK, k - lo), -lo, dtype=np.uint8)
+        codewords = _encode_systematic(units, spec)
+        if not np.array_equal(codewords[info], units):
+            return False
+        butterfly(codewords)
+        if codewords[frozen].any():
+            return False
+    return True
 
 
 def _check_exact_encoding(spec):

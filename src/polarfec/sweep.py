@@ -14,6 +14,14 @@ size, or on any number of parallel workers without changing a single
 count.  Early stopping cuts at the exact frame where the requested number
 of frame errors is reached.
 
+A point's chunks start at one stream block and double up to a cap
+(_chunk_cap): CHUNK_FRAMES, or, for frames so long that CHUNK_FRAMES of
+them would hold more than CHUNK_BYTES of float64 noise, as many whole
+blocks as fit in CHUNK_BYTES, but at least one.  So a chunk's noise, and
+the decoder's stage buffers that scale with its frames, stay bounded at
+any code length past one block's (8 * STREAM_FRAMES * N bytes of noise);
+frames of up to 256 bits keep CHUNK_FRAMES.
+
 A polar chunk runs frame-minor, one frame per column, from its draws to
 its comparison, the layout the batch SC decoder works in: it encodes, adds
 the BPSK symbols into its noise and scales that to LLRs in place (or
@@ -56,8 +64,11 @@ DECODERS = ("soft_exact", "soft_minsum", "hard", "fixed", "rs15_11")
 
 # Frames per keyed stream block; fixed, because it defines every draw.
 STREAM_FRAMES = 256
-# Largest scheduling chunk; any value gives the same counts.
+# Largest scheduling chunk, in frames and in bytes of float64 noise; any
+# values give the same counts.  Smaller byte budgets measured slower: 4 MiB
+# chunks of (1024,512) refaulted their heap pages on every chunk.
 CHUNK_FRAMES = 4096
+CHUNK_BYTES = 8 << 20
 
 # Most Eb/N0 points one sweep grid may hold.
 MAX_EBN0_POINTS = 10_000
@@ -366,18 +377,30 @@ def _rs_bit_errors(messages, received):
     return _BYTE_WEIGHTS[decoded ^ info].sum(axis=1)
 
 
-def _chunk_starts(max_frames):
-    """First frames of one point's chunks, as (ramp, steady).
+def _chunk_cap(channel_bits):
+    """The most frames one chunk of channel_bits-bit frames holds:
+    CHUNK_FRAMES, or fewer so that its (channel_bits, frames) float64 noise
+    takes at most CHUNK_BYTES, rounded down to whole stream blocks and never
+    below one block.  With the defaults, frames of up to 256 bits take
+    CHUNK_FRAMES."""
+    fit = CHUNK_BYTES // (8 * channel_bits) // STREAM_FRAMES * STREAM_FRAMES
+    return min(CHUNK_FRAMES, max(STREAM_FRAMES, fit))
 
-    ramp lists the growing chunks: the first is one stream block and each
-    next one doubles, so a point that stops early wastes little.  steady is
-    the range of the CHUNK_FRAMES-sized chunks after it.
+
+def _chunk_starts(max_frames, cap):
+    """First frames of one point's chunks of at most cap frames (_chunk_cap),
+    as (ramp, steady).
+
+    ramp lists the growing chunks: the first is one stream block (or cap,
+    if smaller) and each next one doubles while it stays below cap, so a
+    point that stops early wastes little.  steady is the range of the
+    cap-sized chunks after it.
     """
-    ramp, start, size = [], 0, min(STREAM_FRAMES, CHUNK_FRAMES)
-    while size < CHUNK_FRAMES and start < max_frames:
+    ramp, start, size = [], 0, min(STREAM_FRAMES, cap)
+    while size < cap and start < max_frames:
         ramp.append(start)
         start, size = start + size, 2 * size
-    return ramp, range(start, max_frames, CHUNK_FRAMES)
+    return ramp, range(start, max_frames, cap)
 
 
 def _init_worker():
@@ -407,7 +430,9 @@ def run_sweep(config, workers=1):
     stream block i // STREAM_FRAMES whichever chunk simulates it, and chunks
     are reduced in index order with the stop rule evaluated on the exact
     per-frame error sequence.  Each point's chunks start at one block and
-    double up to CHUNK_FRAMES.  With workers > 1 the whole sweep shares one
+    double up to _chunk_cap's frames: at most CHUNK_FRAMES, and at most
+    CHUNK_BYTES of float64 noise unless one block takes more.  With
+    workers > 1 the whole sweep shares one
     process pool of min(workers, chunks per point, CPU count) processes,
     each set up by _init_worker.  A grid of at least that many points hands
     the pool whole points (_simulate_point, submitted in grid order), so a
@@ -419,8 +444,8 @@ def run_sweep(config, workers=1):
     workers = _as_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    payload_bits, _, rate = _frame_shape(config)
-    ramp, steady = _chunk_starts(config.max_frames)
+    payload_bits, channel_bits, rate = _frame_shape(config)
+    ramp, steady = _chunk_starts(config.max_frames, _chunk_cap(channel_bits))
     pool_size = min(workers, len(ramp) + len(steady), os.cpu_count() or 1)
     grid = config.ebn0_points()
     tasks = (
@@ -452,7 +477,7 @@ def run_sweep(config, workers=1):
 def _point_chunks(config, point_seed, params):
     """The _simulate_chunk arguments of one point's chunks, in index order,
     made as they are taken."""
-    ramp, steady = _chunk_starts(config.max_frames)
+    ramp, steady = _chunk_starts(config.max_frames, _chunk_cap(_frame_shape(config)[1]))
     for start, stop in pairwise(chain(ramp, steady, [config.max_frames])):
         yield config, point_seed, start, stop - start, params
 

@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from polarfec import (
     to_spec_text,
     validate_domination,
 )
+from polarfec import construction
 
 
 def test_reliabilities_n4_hand_values():
@@ -132,13 +134,32 @@ def test_validate_domination_sampled_large(spec128_96):
     assert validate_domination(spec128_96) is True
 
 
-def test_validate_domination_rejects_large_non_exact_spec():
+def non_exact_32_28():
     # K = 28: the frozen 1, 2 and 3 lie between the info indices 0 and 7 in
     # bit-support order, an odd count
     frozen = (1, 2, 3, 5)
-    spec = CodeSpec(32, 28, frozen, tuple(sorted(set(range(32)) - set(frozen))))
+    return CodeSpec(32, 28, frozen, tuple(sorted(set(range(32)) - set(frozen))))
+
+
+def test_validate_domination_rejects_large_non_exact_spec():
+    spec = non_exact_32_28()
     assert oracles.two_pass_exact_algebraic(spec) is False
     assert validate_domination(spec) is False
+
+
+@pytest.mark.parametrize("spec, exact", [
+    (bhattacharyya_construct(16, 11), True),
+    (bhattacharyya_construct(128, 96), True),
+    (bhattacharyya_construct(1024, 512), True),
+    (non_exact_32_28(), False),
+], ids=["16_11", "128_96", "1024_512", "non_exact_32_28"])
+def test_blocked_domination_verdict_equals_one_batch(monkeypatch, spec, exact):
+    # the uncached check, in blocks smaller than K and then as one batch
+    assert spec.info_len <= construction.DOMINATION_BLOCK
+    assert validate_domination.__wrapped__(spec) is exact
+    for block in (1, 3, spec.info_len - 1):
+        monkeypatch.setattr(construction, "DOMINATION_BLOCK", block)
+        assert validate_domination.__wrapped__(spec) is exact
 
 
 def test_validate_domination_is_fast_at_1024():
@@ -146,6 +167,22 @@ def test_validate_domination_is_fast_at_1024():
     start = time.perf_counter()
     assert validate_domination(spec) is True
     assert time.perf_counter() - start < 1.0
+
+
+def test_frozen_mask_is_made_once_and_read_only(spec16_11):
+    mask = spec16_11.frozen_mask()
+    assert mask is spec16_11.frozen_mask()
+    expected = np.zeros(16, dtype=bool)
+    expected[list(spec16_11.frozen_set)] = True
+    assert mask.dtype == bool and np.array_equal(mask, expected)
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[3] = True
+    # a pickled copy rebuilds its own read-only mask
+    copy = pickle.loads(pickle.dumps(spec16_11))
+    assert copy == spec16_11 and hash(copy) == hash(spec16_11)
+    assert not copy.frozen_mask().flags.writeable
+    assert np.array_equal(copy.frozen_mask(), expected)
 
 
 def test_spec_text_round_trip(spec16_11, tmp_path):

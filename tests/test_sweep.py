@@ -546,6 +546,24 @@ class TestRunSweep:
         points, _ = parse_csv(texts[0])
         assert [p.frames for p in points] == [187, 348, 1271, 5000]
 
+    def test_counts_independent_of_chunk_bytes(self, monkeypatch):
+        # (1024,512) chunks are capped at 256, 512 and 1024 frames by these
+        # budgets; early stop cuts at 1 dB in the first chunk and at 2 dB
+        # inside the chunk from frame 768, the fourth, third and third; 3 dB
+        # runs to max_frames, which no cap divides
+        config = SweepConfig(
+            code=(1024, 512), decoder="soft_minsum", ebn0_start=1.0, ebn0_stop=3.0, ebn0_step=1.0,
+            max_frames=1300, min_frame_errors=100, master_seed=5,
+        )
+        texts = []
+        for chunk_bytes in (1 << 21, 1 << 22, 1 << 23):
+            monkeypatch.setattr(sweep_module, "CHUNK_BYTES", chunk_bytes)
+            assert sweep_module._chunk_cap(1024) == chunk_bytes // 8192
+            texts.append(sweep_csv(config))
+        assert texts[0] == texts[1] == texts[2]
+        points, _ = parse_csv(texts[0])
+        assert [p.frames for p in points] == [134, 890, 1300]
+
     # Early stop cuts in the first chunk at 0 dB, in the second at 1 and 2
     # dB, in a middle one at 3 dB and in the last at 4 dB; 5-8 dB run to
     # max_frames, which no chunk size divides.
@@ -588,6 +606,44 @@ class TestRunSweep:
         assert point.low_confidence
         point = SweepPoint(1.0, 1000, 500, 100, 0.05, 0.1)
         assert not point.low_confidence
+
+
+def chunk_sizes(max_frames, channel_bits):
+    """Frames in each chunk of one point's plan, from the plan's arithmetic
+    alone: no chunk is simulated."""
+    ramp, steady = sweep_module._chunk_starts(max_frames, sweep_module._chunk_cap(channel_bits))
+    starts = [*ramp, *steady]
+    assert starts[0] == 0 and starts == sorted(set(starts))
+    return np.diff(starts + [max_frames]).tolist()
+
+
+class TestChunkPlan:
+    # Only the plan's arithmetic is checked; no test allocates a chunk.
+    @pytest.mark.parametrize("channel_bits", [16, 60, 128, 1024, 4096, 65536])
+    @pytest.mark.parametrize("max_frames", [1, 255, 256, 1300, 4096, 6000, 100_003])
+    def test_chunks_tile_the_point_in_whole_blocks_within_the_byte_bound(self, channel_bits, max_frames):
+        sizes = chunk_sizes(max_frames, channel_bits)
+        assert sum(sizes) == max_frames and min(sizes) >= 1
+        assert all(size % STREAM_FRAMES == 0 for size in sizes[:-1])
+        noise_bytes = 8 * channel_bits * max(sizes)
+        assert noise_bytes <= max(sweep_module.CHUNK_BYTES, 8 * STREAM_FRAMES * channel_bits)
+        assert max(sizes) <= sweep_module.CHUNK_FRAMES
+
+    @pytest.mark.parametrize("channel_bits", [16, 60, 128, 256])
+    def test_frames_of_up_to_256_bits_keep_the_frame_capped_plan(self, channel_bits):
+        # polar16, rs15 (60 channel bits) and polar_wide's (128,96) among them
+        assert sweep_module._chunk_cap(channel_bits) == sweep_module.CHUNK_FRAMES == 4096
+        assert chunk_sizes(4096, channel_bits) == [256, 512, 1024, 2048, 256]
+        assert chunk_sizes(16384, channel_bits) == [256, 512, 1024, 2048] + [4096] * 3 + [256]
+        assert chunk_sizes(6000, channel_bits) == [256, 512, 1024, 2048, 2160]
+
+    def test_wider_frames_take_fewer_frames_down_to_one_block(self):
+        assert sweep_module.CHUNK_BYTES == 8 << 20
+        assert chunk_sizes(4096, 512) == [256, 512, 1024, 2048, 256]
+        assert chunk_sizes(4096, 1024) == [256, 512] + [1024] * 3 + [256]
+        assert chunk_sizes(4096, 2048) == [256] + [512] * 7 + [256]
+        assert chunk_sizes(600, 4096) == [256, 256, 88]
+        assert sweep_module._chunk_cap(65536) == STREAM_FRAMES
 
 
 class RecordingPool:
@@ -697,6 +753,13 @@ class TestSweepDriver:
         assert pools == [5, 3]
         run_sweep(small_config(max_frames=STREAM_FRAMES), workers=8)
         assert pools == [5, 3]  # one chunk per point: no pool at all
+
+    def test_pool_sized_to_byte_capped_chunks(self, pools, monkeypatch):
+        # a budget of 512 (16,11) frames chunks 2000 frames 256, 512, 512,
+        # 512 and 208, where 4096 frames gave four chunks
+        monkeypatch.setattr(sweep_module, "CHUNK_BYTES", 8 * 16 * 512)
+        run_sweep(small_config(ebn0_stop=2.0, max_frames=2000, min_frame_errors=2001), workers=8)
+        assert pools == [5]
 
     def test_pool_capped_at_cpu_count(self, pools, monkeypatch):
         # a fork-context pool starts all its workers on the first submit
