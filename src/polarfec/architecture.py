@@ -13,16 +13,22 @@ Three hardware scheduling strategies for the same processing-element tree
 
 Each design is a data-independent clock plan: the same SC node operations
 (F or G at a stage on a node), grouped into clocks, with every activation
-prebuilt.  One executor runs any plan with two operations, F and G, feeding
-every G from running partial sums that each decision updates.  A proposed
+prebuilt.  Each clock of a plan is compiled, once per (stages, arch), into
+one straight-line Python function, as a clock is the combinational logic
+between two registers: one F or G call per PE, each G fed from running
+partial sums that every decision updates by scalar XORs.  A decode runs a
+plan's clock functions in order over one flat value list.  A proposed
 clock repeats its root-to-leaf path; an operation on it whose (function,
 node) already sits in its stage buffer, with no new operation above it, is
 the combinational chain giving an unchanged value again: it emits its
 activations for that clock but is not computed a second time.  So every
 design computes each SC node operation once, N*log2(N) F and G evaluations
-per decode, the same as the reference decoder.  The model is
-transaction level: combinational depth inside a clock is represented by
-activation ordering, not timing.  Traces are executed functionally with
+per decode, the same as the reference decoder.  The first decode of a
+plan pays for building and compiling it: a few ms per design at N = 16,
+about 0.5 s for conventional or two_bit_sc at N = 1024, and seconds for
+proposed at N = 1024, most of them spent prebuilding its activations.
+The model is transaction level: combinational depth inside a clock is
+represented by activation ordering, not timing.  Traces are executed functionally with
 min-sum arithmetic and must decode bit-identically to the reference decoder;
 the schedules reorder computation, never change it.
 """
@@ -31,13 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem, xor
+from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
 
 # encode_nonsystematic is unused, but the benchmark tracer rebinds it here.
-from .codec import _llr_frame, encode_nonsystematic, f_minsum, g_func
+from .codec import _as_int, _llr_frame, encode_nonsystematic, f_minsum, g_func
 from .construction import is_power_of_two
 
 ARCH_KINDS = ("conventional", "two_bit_sc", "proposed")
@@ -55,6 +61,7 @@ def latency_clocks(n_bits, arch):
     is also realized constructively by build_schedule and the two must agree.
     """
     _check_arch(arch)
+    n_bits = _as_int("n_bits", n_bits)
     if not is_power_of_two(n_bits) or n_bits < 4:
         raise ValueError(f"n_bits must be a power of two >= 4, got {n_bits}")
     if arch == "conventional":
@@ -72,7 +79,7 @@ def schedule_label(n_bits, arch):
     """
     latency_clocks(n_bits, arch)  # validates n_bits and arch
     groups = []
-    for steps in _clock_plan(n_bits.bit_length() - 1, arch):
+    for steps in _clock_plan(int(n_bits).bit_length() - 1, arch):
         groups.append("(" + "-".join("G" if step.is_g else "F" for step in steps) + ")")
         if any(step.is_g and not step.stage for step in steps):
             return "-".join(groups)
@@ -126,8 +133,12 @@ def build_schedule(spec, arch, channel_llrs):
     _check_arch(arch)
     llrs = _llr_frame(channel_llrs, spec)
     expected = latency_clocks(spec.block_len, arch)
-    plan = _clock_plan(spec.stages, arch)
-    activations, pairs = _execute(plan, llrs.tolist(), spec.frozen_mask().tolist())
+    values = [0.0] * spec.block_len + llrs.tolist()
+    sums = [0] * spec.block_len
+    frozen = spec.frozen_mask().tolist()
+    activations = []
+    f, g = f_minsum, g_func
+    pairs = [clock(values, sums, frozen, activations, f, g) for clock in _compiled_plan(spec.stages, arch)]
     total = activations[-1].clock + 1
     if total != expected:
         raise AssertionError(
@@ -143,14 +154,16 @@ def build_schedule(spec, arch, channel_llrs):
 
 
 class _Step(NamedTuple):
-    """One SC node operation of a clock plan, in the form _execute runs.
+    """One SC node operation of a clock plan, in the form _compiled_plan
+    compiles.
 
     is_g: a G (else an F); the operation reads stage + 1's buffer of 2 * half
     values and writes stage's.  fixed holds the prebuilt activations: an
     F's, or one (feedback 0, feedback 1) pair per PE of a G.  reuse marks an
     operation whose result already sits in its stage buffer.  leaf is None
-    above stage 0, else (index, merges): the decided bit's index and the
-    (left, right) slices of every aligned block of partial sums it completes.
+    above stage 0, else (index, merges): the decided bit's index and, for
+    every aligned block of partial sums it completes, one (left, right)
+    index pair per bit of the block's right half, right XORed into left.
     """
 
     is_g: bool
@@ -207,7 +220,7 @@ def _clock_plan(stages, arch):
                 merges = []
                 size = 1
                 while index & size:  # the aligned block of 2 * size bits that index completes
-                    merges.append((slice(index + 1 - 2 * size, index + 1 - size), slice(index + 1 - size, index + 1)))
+                    merges += [(right - size, right) for right in range(index + 1 - size, index + 1)]
                     size *= 2
                 leaf = (index, tuple(merges))
             steps.append(_Step(is_g, stage, base, half, fixed, reuse, leaf))
@@ -230,51 +243,63 @@ def _clock_plan(stages, arch):
     return tuple(clocks)
 
 
-def _execute(plan, llrs, frozen):
-    """Run a clock plan on per-stage LLR buffers with min-sum F and G.
+@lru_cache(maxsize=16)
+def _compiled_plan(stages, arch):
+    """_clock_plan(stages, arch) compiled: one function per clock.
 
-    A step at stage s reads its node's 2^(s+1) LLRs from buffer s + 1 and
-    writes its child's 2^s LLRs to buffer s; at stage 0 that child is a leaf
-    and its bit is decided.  Each decision sets its bit in the running
-    partial sums and XOR-merges the halves of every aligned block it
-    completes, so a G's feedback is sums[base : base + half], the transform
-    of its node's decided left block.  Every step emits its activations, but
-    a reused step does no arithmetic: its (function, node) is what its stage
-    buffer already holds and no new step above it has changed its input
-    (a proposed path repeating itself), so each SC node operation is
-    computed once per decode.  Returns (activations, decoded_pairs).
+    A clock function runs its steps in order on the shared state of one
+    decode: the flat value list v of 2N entries, whose stage-s buffer is
+    v[2^s : 2^(s+1)] (the channel LLRs are v[N:]), the partial sums s, the
+    frozen flags z and the activation list acts.  It takes the F and G
+    functions as arguments, so they are the ones bound when the plan runs,
+    and returns the clock's decisions as a list of (bit index, bit).
+
+    A step at stage s computes its node's 2^s outputs, one F or G call per
+    PE on its two operands, from the 2^(s+1) values of buffer s + 1 into
+    buffer s; a G's feedback is its PE's running partial sum, the transform
+    of the node's decided left block.  At stage 0 the one output is a leaf
+    LLR, and its bit is decided into a local, because the merges that follow
+    rewrite its partial sum: the bit sets s[index], then each aligned block
+    it completes XORs its right half into its left, one bit at a time.
+    Every step emits its activations, but a reused step does no arithmetic:
+    its (function, node) is what its stage buffer already holds and no new
+    step above it has changed its input (a proposed path repeating itself),
+    so each SC node operation is computed once per decode.
     """
-    f, g = f_minsum, g_func
-    buffers = [None] * (len(llrs).bit_length() - 1) + [llrs]
-    sums = [0] * len(llrs)
-    activations = []
-    pairs = []
-    for steps in plan:
-        decided = []
-        for is_g, stage, base, half, fixed, reuse, leaf in steps:
-            if is_g:
-                bits = sums[base : base + half]
-                activations += map(getitem, fixed, bits)
-            else:
-                activations += fixed
-            if reuse:
-                continue
-            v = buffers[stage + 1]
-            if leaf is None:
-                if is_g:
-                    buffers[stage] = list(map(g, v[:half], v[half:], bits))
-                else:
-                    buffers[stage] = list(map(f, v[:half], v[half:]))
-                continue
-            index, merges = leaf
-            llr = g(v[0], v[1], bits[0]) if is_g else f(v[0], v[1])
-            bit = 1 if llr < 0 and not frozen[index] else 0
-            decided.append((index, bit))
-            sums[index] = bit
-            for left, right in merges:
-                sums[left] = map(xor, sums[left], sums[right])
-        pairs.append(decided)
-    return activations, pairs
+    return tuple(_compile_clock(steps) for steps in _clock_plan(stages, arch))
+
+
+def _compile_clock(steps):
+    """One clock's steps as a straight-line function (see _compiled_plan).
+
+    One function per clock, not per plan: compiling holds a few KB per
+    generated line until it ends, so a clock at a time keeps that bounded
+    by the longest clock, not the whole plan.
+    """
+    names = {"getitem": getitem}
+    lines = []
+    decided = []
+    for k, (is_g, stage, base, half, fixed, reuse, leaf) in enumerate(steps):
+        if fixed:
+            names[f"a{k}"] = fixed
+            lines.append(f"acts += map(getitem, a{k}, s[{base}:{base + half}])" if is_g else f"acts += a{k}")
+        if reuse:
+            continue
+        calls = [
+            f"g(v[{2 * half + j}], v[{3 * half + j}], s[{base + j}])" if is_g else f"f(v[{2 * half + j}], v[{3 * half + j}])"
+            for j in range(half)
+        ]
+        if leaf is None:
+            lines += [f"v[{half + j}] = {call}" for j, call in enumerate(calls)]
+            continue
+        index, merges = leaf
+        lines.append(f"b{index} = s[{index}] = 1 if {calls[0]} < 0 and not z[{index}] else 0")
+        lines += [f"s[{left}] ^= s[{right}]" for left, right in merges]
+        decided.append(f"({index}, b{index})")
+    lines.append(f"return [{', '.join(decided)}]")
+    source = "def clock(v, s, z, acts, f, g):\n    " + "\n    ".join(lines) + "\n"
+    exec(compile(source, "<clock plan>", "exec"), names)
+    return names["clock"]
 
 
 def format_trace(trace):

@@ -133,7 +133,7 @@ def f_minsum(la, lb):
 
     A zero operand is treated as positive.  Sign-branch comparisons return
     +-la or +-lb with no min or abs call, since the scalar decoders and the
-    schedule executor call this once per F.  The value equals sign * min
+    compiled schedule clocks call this once per F.  The value equals sign * min
     under ==, but a zero may come out as -0.0 (f_minsum(-0.0, 1.0), say):
     -0.0 == 0.0, -0.0 < 0 is false and a sum with -0.0 equals the sum with
     0.0, so no decision and no later value can differ.

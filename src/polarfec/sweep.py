@@ -40,7 +40,9 @@ A point runs its chunks in order (_simulate_point) and returns its record
 in the same shape, cut at its stop.  A pool of workers takes whole points
 when the grid has at least as many points as the pool has processes, so
 no chunk waits on the parent and none runs past a stop; a smaller grid
-hands the pool one point's chunks at a time.
+hands the pool one point's chunks at a time.  The pool class is imported
+on first use (the module's __getattr__), so a process that never starts a
+pool does not import multiprocessing.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, pairwise
 
@@ -403,6 +405,22 @@ def _chunk_starts(max_frames, cap):
     return ramp, range(start, max_frames, cap)
 
 
+def __getattr__(name):
+    """ProcessPoolExecutor, imported on first use (PEP 562).
+
+    Its module pulls in multiprocessing, which a process that never starts
+    a pool (one worker, or no sweep at all) need not import.  The class is
+    then stored in this module's globals, where a caller may also rebind
+    it: run_sweep uses whatever sweep.ProcessPoolExecutor is bound to.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _init_worker():
     """Pool worker set-up: keep freed heap memory for the next chunk.
 
@@ -458,7 +476,8 @@ def run_sweep(config, workers=1):
 
     if pool_size == 1:
         return [reduce(ebn0, [_simulate_point(task)]) for ebn0, task in zip(grid, tasks)]
-    with ProcessPoolExecutor(pool_size, initializer=_init_worker) as pool:
+    # through the module, which imports the class on first use (__getattr__)
+    with sys.modules[__name__].ProcessPoolExecutor(pool_size, initializer=_init_worker) as pool:
         if len(grid) >= pool_size:
             futures = [pool.submit(_simulate_point, task) for task in tasks]
             try:

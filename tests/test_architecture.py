@@ -41,6 +41,13 @@ class TestLatency:
             latency_clocks(2, "proposed")
         with pytest.raises(ValueError):
             latency_clocks(24, "proposed")
+        with pytest.raises(ValueError, match="integer"):
+            latency_clocks(16.0, "proposed")
+
+    def test_numpy_integer_n_bits(self):
+        assert latency_clocks(np.int64(16), "proposed") == 8
+        assert type(latency_clocks(np.int64(16), "conventional")) is int
+        assert schedule_label(np.int64(16), "proposed") == schedule_label(16, "proposed")
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +70,7 @@ def trace_frames(n_bits):
 
 
 # SHA-256 of the concatenated format_trace text of trace_frames(N) on
-# bhattacharyya_construct(N, K): any change to a clock plan, to the executor's
+# bhattacharyya_construct(N, K): any change to a clock plan, to its compiled
 # arithmetic or to the trace format shows here.
 TRACE_SHA256 = {
     (16, 11, "conventional"): "cdb7cb5639510e2ba6b49b0fd632136813898f4a8826bdb7f6b2563dc2fdfe6e",
@@ -72,6 +79,10 @@ TRACE_SHA256 = {
     (32, 16, "conventional"): "bb4b0f9e332fcb39ceecc00e66112d5e45ff62adf563f9a7f546d285cbde9571",
     (32, 16, "two_bit_sc"): "b886acff482d528478c81b3fa6c1cde7e8d1bbf98d41f1e5f314e0829d767203",
     (32, 16, "proposed"): "ecef9bd8054e14a5ad1252dc72cdac5e0c1ef6f87df5d3e6ae3acbe641a42ff6",
+    # nodes of up to 64 PEs, which run 64 calls in one step
+    (128, 96, "conventional"): "d866aa5b01a2161105915ac7aee539c94ebcf29d39d95bc64f5ff5bb25a78945",
+    (128, 96, "two_bit_sc"): "9d549cea70919f5246e2996246b5aa6a1923c40fd76ea4733308dddf375cf97f",
+    (128, 96, "proposed"): "d50fd743a301ba358eb52d1afef4b30d8e0353911586562f839eac512a77d24d",
 }
 
 
@@ -98,7 +109,12 @@ class TestSchedules:
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_each_node_operation_computed_once(self, arch, monkeypatch):
         # proposed emits its unchanged root-to-leaf path on every clock, but
-        # the executor computes each SC node operation once, as SC does
+        # each SC node operation is computed once, as SC does; the plans are
+        # compiled before the stand-ins go in, so the counts also show that a
+        # plan calls the F and G bound when it runs
+        sizes = (4, 8, 16, 32, 128)
+        for n_bits in sizes:
+            build_schedule(bhattacharyya_construct(n_bits, n_bits // 2), arch, np.ones(n_bits))
         calls = []
 
         def counted(function):
@@ -110,7 +126,7 @@ class TestSchedules:
 
         monkeypatch.setattr(architecture, "f_minsum", counted(f_minsum))
         monkeypatch.setattr(architecture, "g_func", counted(g_func))
-        for n_bits in (4, 8, 16, 32, 128):
+        for n_bits in sizes:
             spec = bhattacharyya_construct(n_bits, max(1, 3 * n_bits // 4))
             for llrs in trace_frames(n_bits)[:3]:
                 calls.clear()

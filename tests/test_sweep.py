@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
 
@@ -782,6 +785,57 @@ class TestSweepDriver:
         assert run_sweep(config, workers=2) == serial
         assert pools == [3, 2]
         assert RecordingPool.submitted == ["_simulate_point"] * 2
+
+    def test_pool_imported_on_first_use(self):
+        # in a fresh process: importing polarfec leaves the pool's module
+        # (and multiprocessing) out; a rebound pool class still runs a
+        # 2-worker sweep; the name resolves to the real class on first use
+        script = """if True:
+            import sys
+            from concurrent.futures import Future
+            from polarfec import SweepConfig, run_sweep, sweep
+            assert "concurrent.futures.process" not in sys.modules
+            assert "ProcessPoolExecutor" not in vars(sweep)
+            opened = []
+
+            class InlinePool:
+                def __init__(self, max_workers, initializer=None):
+                    opened.append(max_workers)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def submit(self, fn, *args):
+                    future = Future()
+                    future.set_result(fn(*args))
+                    return future
+
+            sweep.ProcessPoolExecutor = InlinePool
+            sweep.os.cpu_count = lambda: 64
+            config = SweepConfig(code=(16, 11), decoder="soft_minsum", ebn0_start=2.0, ebn0_stop=3.0,
+                                 ebn0_step=1.0, max_frames=6000, min_frame_errors=60, master_seed=11)
+            points = run_sweep(config, workers=2)
+            assert opened == [2]
+            assert "concurrent.futures.process" not in sys.modules
+            del sweep.ProcessPoolExecutor
+            from concurrent.futures.process import ProcessPoolExecutor
+            assert sweep.ProcessPoolExecutor is ProcessPoolExecutor is vars(sweep)["ProcessPoolExecutor"]
+            try:
+                sweep.ThreadPoolExecutor
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError("sweep resolved a name it does not define")
+            print(repr(points))
+        """
+        src = os.path.dirname(os.path.dirname(sweep_module.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == repr(run_sweep(small_config()))
 
     def test_failed_point_raises_and_cancels_queued_points(self, monkeypatch, pools):
         config = small_config(ebn0_start=0.0, ebn0_stop=8.0)
