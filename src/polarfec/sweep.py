@@ -20,7 +20,9 @@ them would hold more than CHUNK_BYTES of float64 noise, as many whole
 blocks as fit in CHUNK_BYTES, but at least one.  So a chunk's noise, and
 the decoder's stage buffers that scale with its frames, stay bounded at
 any code length past one block's (8 * STREAM_FRAMES * N bytes of noise);
-frames of up to 256 bits keep CHUNK_FRAMES.
+frames of up to 64 bits keep CHUNK_FRAMES, and from N = 1024 a chunk is
+one block.  A point's chunks draw into one set of buffers that the point
+owns (_simulate_point), so their draws fault in no fresh pages per chunk.
 
 A polar chunk runs frame-minor, one frame per column, from its draws to
 its comparison, the layout the batch SC decoder works in: it encodes, adds
@@ -67,10 +69,10 @@ DECODERS = ("soft_exact", "soft_minsum", "hard", "fixed", "rs15_11")
 # Frames per keyed stream block; fixed, because it defines every draw.
 STREAM_FRAMES = 256
 # Largest scheduling chunk, in frames and in bytes of float64 noise; any
-# values give the same counts.  Smaller byte budgets measured slower: 4 MiB
-# chunks of (1024,512) refaulted their heap pages on every chunk.
+# values give the same counts.  The byte budget is small because a point's
+# chunks reuse one set of draw buffers rather than allocating their own.
 CHUNK_FRAMES = 4096
-CHUNK_BYTES = 8 << 20
+CHUNK_BYTES = 2 << 20
 
 # Most Eb/N0 points one sweep grid may hold.
 MAX_EBN0_POINTS = 10_000
@@ -246,15 +248,31 @@ def _frame_shape(config):
     return payload, chan, payload / chan
 
 
-def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, axis):
+def _draw_buffers(payload_bits, channel_bits, frames):
+    """Draw buffers for chunks of up to frames frames: the flat message
+    bytes, the flat float64 noise and the (STREAM_FRAMES, channel_bits)
+    normal scratch that _chunk_draws writes into."""
+    return (
+        np.empty(payload_bits * frames, dtype=np.uint8),
+        np.empty(channel_bits * frames),
+        np.empty((STREAM_FRAMES, channel_bits)),
+    )
+
+
+def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, axis, buffers=None):
     """The draws of frames [start, start+count) of a point, in the layout
     named by axis, the axis a frame's bits run along: 0 for frame-minor
     (bits, count) arrays, 1 for (count, bits) rows.
     Frame j of the messages and of the noise is frame_draws(point_seed,
     start + j, ...).
 
+    buffers is a _draw_buffers set for at least count frames (a new one
+    when None): the messages and the noise are C-contiguous prefixes of
+    its flat arrays, reshaped to the layout, so the chunks of one point
+    can share one set.  The returned arrays are views of it.
+
     Each stream block the chunk touches draws its messages, then its noise
-    up to the last row the chunk uses into one STREAM_FRAMES-row scratch;
+    up to the last row the chunk uses into the STREAM_FRAMES-row scratch;
     sigma * standard normal equals gen.normal(0, sigma) bit for bit.
 
     A block's messages are the top bits of STREAM_FRAMES * payload_bits raw
@@ -278,9 +296,11 @@ def _chunk_draws(point_seed, start, count, payload_bits, channel_bits, sigma, ax
     word 1 set to the block, which draws what Philox(key=[point_seed,
     block]) draws at a fraction of its build cost.
     """
-    messages = np.empty((payload_bits, count) if axis == 0 else (count, payload_bits), dtype=np.uint8)
-    noise = np.empty((channel_bits, count) if axis == 0 else (count, channel_bits))
-    scratch = np.empty((STREAM_FRAMES, channel_bits))
+    flat_messages, flat_noise, scratch = buffers or _draw_buffers(payload_bits, channel_bits, count)
+    messages = flat_messages[: payload_bits * count].reshape(
+        (payload_bits, count) if axis == 0 else (count, payload_bits)
+    )
+    noise = flat_noise[: channel_bits * count].reshape((channel_bits, count) if axis == 0 else (count, channel_bits))
     # One stream byte per message bit, 8 to a word.
     message_words = STREAM_FRAMES * payload_bits // 8
     stop = start + count
@@ -307,18 +327,20 @@ def _simulate_chunk(args):
     """Simulate frames [start, start+count) of one point.
 
     args is (config, point_seed, start, count, params), with params the
-    point's ChannelParams.  A polar chunk runs frame-minor, one frame per
-    column, and an RS chunk in rows, each from its draws to its bit-error
-    count.  Returns (count, offsets, bit_errors): the offsets from start of
-    the frames with a bit error, in order, and their bit-error counts.  A
-    frame has a bit error exactly when it is a frame error, so the
-    error-free frames need no record.
+    point's ChannelParams, and optionally a trailing _draw_buffers set for
+    at least count frames, which only _simulate_point appends; without it
+    the chunk draws into buffers of its own.  A polar chunk runs
+    frame-minor, one frame per column, and an RS chunk in rows, each from
+    its draws to its bit-error count.  Returns (count, offsets,
+    bit_errors): the offsets from start of the frames with a bit error, in
+    order, and their bit-error counts.  A frame has a bit error exactly
+    when it is a frame error, so the error-free frames need no record.
     """
-    config, point_seed, start, count, params = args
+    config, point_seed, start, count, params, *buffers = args
     payload_bits, channel_bits, _ = _frame_shape(config)
     rs = config.decoder == "rs15_11"
     messages, received = _chunk_draws(
-        point_seed, start, count, payload_bits, channel_bits, params.noise_sigma, 1 if rs else 0
+        point_seed, start, count, payload_bits, channel_bits, params.noise_sigma, 1 if rs else 0, *buffers
     )
     if rs:
         bit_errors = _rs_bit_errors(messages, received)
@@ -383,8 +405,9 @@ def _chunk_cap(channel_bits):
     """The most frames one chunk of channel_bits-bit frames holds:
     CHUNK_FRAMES, or fewer so that its (channel_bits, frames) float64 noise
     takes at most CHUNK_BYTES, rounded down to whole stream blocks and never
-    below one block.  With the defaults, frames of up to 256 bits take
-    CHUNK_FRAMES."""
+    below one block.  With the defaults, frames of up to 64 bits take
+    CHUNK_FRAMES, 128 bits 2048 frames, 256 bits 1024, 512 bits 512, and
+    1024 bits and more one block."""
     fit = CHUNK_BYTES // (8 * channel_bits) // STREAM_FRAMES * STREAM_FRAMES
     return min(CHUNK_FRAMES, max(STREAM_FRAMES, fit))
 
@@ -507,13 +530,19 @@ def _simulate_point(args):
     have not reached config.min_frame_errors, and the last one cut at the
     exact frame that reaches it (_cut).
 
+    Every chunk draws into one _draw_buffers set, made once before the
+    first chunk and sized for the point's largest, min(_chunk_cap,
+    max_frames) frames.
+
     args is (config, point_seed, params).  Returns the point's record in a
     chunk's shape, (frames, offsets, bit_errors), with offsets counted from
     the point's frame 0; _reduce_point takes it as a one-chunk point.
     """
     config = args[0]
+    payload_bits, channel_bits, _ = _frame_shape(config)
+    buffers = _draw_buffers(payload_bits, channel_bits, min(_chunk_cap(channel_bits), config.max_frames))
     frames, offsets, bit_errors = 0, [], []
-    chunks = map(_simulate_chunk, _point_chunks(*args))
+    chunks = map(_simulate_chunk, (chunk + (buffers,) for chunk in _point_chunks(*args)))
     for count, chunk_offsets, chunk_bits in _cut(chunks, config.min_frame_errors):
         offsets.append(chunk_offsets + frames)
         bit_errors.append(chunk_bits)

@@ -582,11 +582,28 @@ class TestRunSweep:
         assert run_sweep(config, workers=2) == serial
         assert run_sweep(config, workers=3) == serial
 
-    @pytest.mark.parametrize("point_index", [0, 1, 3, 4, 5])
-    def test_point_record_is_its_chunks_cut_at_the_stop(self, point_index):
-        config = SweepConfig(**self.NINE_POINTS)
+    # One point each, planned 256, 512, 1024, 2048 and 1160 frames, whose
+    # stop falls in the last chunk, so every chunk of the plan runs.
+    WIDE_HARD = dict(
+        code=(128, 96), decoder="hard", ebn0_start=6.5, ebn0_stop=6.5,
+        max_frames=5000, min_frame_errors=50, master_seed=3,
+    )
+    RS_POINT = dict(
+        decoder="rs15_11", ebn0_start=4.0, ebn0_stop=4.0,
+        max_frames=5000, min_frame_errors=900, master_seed=3,
+    )
+
+    # the (point, point_index) cases; the chunks of the reference run in
+    # buffers of their own, not in the point's
+    @pytest.mark.parametrize(
+        "point, point_index",
+        [*zip([NINE_POINTS] * 5, (0, 1, 3, 4, 5)), (WIDE_HARD, 0), (RS_POINT, 0)],
+        ids=["0", "1", "3", "4", "5", "wide_hard", "rs15"],
+    )
+    def test_point_record_is_its_chunks_cut_at_the_stop(self, point, point_index):
+        config = SweepConfig(**point)
         seed = point_seed_for(config.master_seed, point_index)
-        params = ChannelParams(config.ebn0_points()[point_index], 11 / 16)
+        params = ChannelParams(config.ebn0_points()[point_index], sweep_module._frame_shape(config)[2])
         dense = np.concatenate([
             dense_bit_errors(sweep_module._simulate_chunk(chunk))
             for chunk in sweep_module._point_chunks(config, seed, params)
@@ -598,6 +615,28 @@ class TestRunSweep:
         assert frames == stop
         np.testing.assert_array_equal(offsets, errors[errors < stop])
         np.testing.assert_array_equal(bit_errors, dense[errors[errors < stop]])
+
+    @pytest.mark.parametrize("point, cap", [(WIDE_HARD, 2048), (RS_POINT, 4096)], ids=["wide_hard", "rs15"])
+    def test_chunks_of_a_point_draw_into_one_buffer_set(self, monkeypatch, point, cap):
+        config = SweepConfig(**point)
+        _, channel_bits, rate = sweep_module._frame_shape(config)
+        chunk_draws = sweep_module._chunk_draws
+        drawn = []
+
+        def recording_draws(*args):
+            messages, noise = chunk_draws(*args)
+            drawn.append((noise.size // channel_bits, messages.ctypes.data, noise.ctypes.data, noise.base.size))
+            return messages, noise
+
+        monkeypatch.setattr(sweep_module, "_chunk_draws", recording_draws)
+        seed = point_seed_for(config.master_seed, 0)
+        frames, _, _ = sweep_module._simulate_point((config, seed, ChannelParams(config.ebn0_points()[0], rate)))
+        assert 3840 < frames < config.max_frames
+        counts, message_data, noise_data, noise_size = zip(*drawn)
+        assert list(counts) == [256, 512, 1024, 2048, 1160]
+        assert len(set(message_data)) == len(set(noise_data)) == 1
+        # sized once, for the chunk cap
+        assert set(noise_size) == {channel_bits * cap}
 
     def test_fixed_sweep_runs(self, spec16_11):
         config = small_config(code=spec16_11, decoder="fixed", quant_bits=5, frac_bits=1)
@@ -632,19 +671,22 @@ class TestChunkPlan:
         assert noise_bytes <= max(sweep_module.CHUNK_BYTES, 8 * STREAM_FRAMES * channel_bits)
         assert max(sizes) <= sweep_module.CHUNK_FRAMES
 
-    @pytest.mark.parametrize("channel_bits", [16, 60, 128, 256])
-    def test_frames_of_up_to_256_bits_keep_the_frame_capped_plan(self, channel_bits):
-        # polar16, rs15 (60 channel bits) and polar_wide's (128,96) among them
+    @pytest.mark.parametrize("channel_bits", [16, 60, 64])
+    def test_frames_of_up_to_64_bits_keep_the_frame_capped_plan(self, channel_bits):
+        # polar16 and rs15 (60 channel bits) among them
         assert sweep_module._chunk_cap(channel_bits) == sweep_module.CHUNK_FRAMES == 4096
         assert chunk_sizes(4096, channel_bits) == [256, 512, 1024, 2048, 256]
         assert chunk_sizes(16384, channel_bits) == [256, 512, 1024, 2048] + [4096] * 3 + [256]
         assert chunk_sizes(6000, channel_bits) == [256, 512, 1024, 2048, 2160]
 
     def test_wider_frames_take_fewer_frames_down_to_one_block(self):
-        assert sweep_module.CHUNK_BYTES == 8 << 20
-        assert chunk_sizes(4096, 512) == [256, 512, 1024, 2048, 256]
-        assert chunk_sizes(4096, 1024) == [256, 512] + [1024] * 3 + [256]
-        assert chunk_sizes(4096, 2048) == [256] + [512] * 7 + [256]
+        assert sweep_module.CHUNK_BYTES == 2 << 20
+        # polar_wide's (128,96)
+        assert chunk_sizes(16384, 128) == [256, 512, 1024] + [2048] * 7 + [256]
+        assert chunk_sizes(4096, 256) == [256, 512] + [1024] * 3 + [256]
+        assert chunk_sizes(4096, 512) == [256] + [512] * 7 + [256]
+        # polar_wide's (1024,512): one block per chunk
+        assert chunk_sizes(4096, 1024) == [256] * 16
         assert chunk_sizes(600, 4096) == [256, 256, 88]
         assert sweep_module._chunk_cap(65536) == STREAM_FRAMES
 
@@ -656,6 +698,7 @@ class RecordingPool:
 
     opened = []
     submitted = []
+    tasks = []
 
     def __init__(self, max_workers, initializer=None):
         self.opened.append(max_workers)
@@ -668,6 +711,7 @@ class RecordingPool:
 
     def submit(self, fn, *args):
         self.submitted.append(fn.__name__)
+        self.tasks.append(args)
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -725,6 +769,7 @@ class TestSweepDriver:
     def pools(self, monkeypatch):
         monkeypatch.setattr(RecordingPool, "opened", [])
         monkeypatch.setattr(RecordingPool, "submitted", [])
+        monkeypatch.setattr(RecordingPool, "tasks", [])
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
         # pool sizes below do not depend on the host's CPU count
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 64)
@@ -785,6 +830,17 @@ class TestSweepDriver:
         assert run_sweep(config, workers=2) == serial
         assert pools == [3, 2]
         assert RecordingPool.submitted == ["_simulate_point"] * 2
+
+    def test_pool_tasks_hold_no_arrays(self, pools):
+        # every task is pickled to a worker, which draws into buffers it
+        # makes: a point's own set, or a chunk's on the chunk path that a
+        # single point takes
+        for ebn0_stop in (2.0, 3.0):
+            config = small_config(ebn0_stop=ebn0_stop, min_frame_errors=6001)
+            assert run_sweep(config, workers=2) == run_sweep(config)
+        assert RecordingPool.submitted == ["_simulate_chunk"] * 5 + ["_simulate_point"] * 2
+        for (task,) in RecordingPool.tasks:
+            assert not any(isinstance(item, np.ndarray) for item in task)
 
     def test_pool_imported_on_first_use(self):
         # in a fresh process: importing polarfec leaves the pool's module
