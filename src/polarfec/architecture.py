@@ -12,11 +12,14 @@ Three hardware scheduling strategies for the same processing-element tree
   every clock decides one bit pair: N/2 clocks.
 
 Each design is a data-independent clock plan: the same SC node operations
-(F or G at a stage on a node), grouped into clocks, with every activation
-prebuilt.  Each clock of a plan is compiled, once per (stages, arch), into
-one straight-line Python function, as a clock is the combinational logic
-between two registers: one F or G call per PE, each G fed from running
-partial sums that every decision updates by scalar XORs.  A decode runs a
+(F or G at a stage on a node), grouped into clocks.  A plan is structure
+only, so latency_clocks and schedule_label, and the latency table that
+prints them, build no activation.  Each clock of a plan is compiled, once
+per (stages, arch), into one straight-line Python function, as a clock is
+the combinational logic between two registers: one F or G call per PE,
+each G fed from running partial sums that every decision updates by scalar
+XORs.  The compiled plan (_compiled_plan) is the one cache and owns the
+PE activations, prebuilt as each clock is compiled.  A decode runs a
 plan's clock functions in order over one flat value list.  A proposed
 clock repeats its root-to-leaf path; an operation on it whose (function,
 node) already sits in its stage buffer, with no new operation above it, is
@@ -24,9 +27,10 @@ the combinational chain giving an unchanged value again: it emits its
 activations for that clock but is not computed a second time.  So every
 design computes each SC node operation once, N*log2(N) F and G evaluations
 per decode, the same as the reference decoder.  The first decode of a
-plan pays for building and compiling it: a few ms per design at N = 16,
-about 0.5 s for conventional or two_bit_sc at N = 1024, and seconds for
-proposed at N = 1024, most of them spent prebuilding its activations.
+plan pays for compiling it: a few ms per design at N = 16, about 0.5 s
+for conventional or two_bit_sc at N = 1024, and seconds for proposed at
+N = 1024, most of them spent prebuilding its N/2*(N-1) activations, which
+the cache then keeps.
 The model is transaction level: combinational depth inside a clock is
 represented by activation ordering, not timing.  Traces are executed functionally with
 min-sum arithmetic and must decode bit-identically to the reference decoder;
@@ -38,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,13 +78,14 @@ def schedule_label(n_bits, arch):
     """First-bit-pair schedule signature, one parenthesized group per clock.
 
     Renders the clock plan up to and including the first clock holding a
-    stage-0 G: "(F)-(F)-(F)-(F)-(G)" for conventional at N = 16.
+    stage-0 G: "(F)-(F)-(F)-(F)-(G)" for conventional at N = 16.  It walks
+    only those clocks of the plan and builds no activation.
     """
     latency_clocks(n_bits, arch)  # validates n_bits and arch
     groups = []
-    for steps in _clock_plan(int(n_bits).bit_length() - 1, arch):
-        groups.append("(" + "-".join("G" if step.is_g else "F" for step in steps) + ")")
-        if any(step.is_g and not step.stage for step in steps):
+    for ops in _clock_plan(int(n_bits).bit_length() - 1, arch):
+        groups.append("(" + "-".join(function for function, *_ in ops) + ")")
+        if any(function == "G" and not stage for function, stage, *_ in ops):
             return "-".join(groups)
 
 
@@ -153,124 +157,79 @@ def build_schedule(spec, arch, channel_llrs):
     )
 
 
-class _Step(NamedTuple):
-    """One SC node operation of a clock plan, in the form _compiled_plan
-    compiles.
-
-    is_g: a G (else an F); the operation reads stage + 1's buffer of 2 * half
-    values and writes stage's.  fixed holds the prebuilt activations: an
-    F's, or one (feedback 0, feedback 1) pair per PE of a G.  reuse marks an
-    operation whose result already sits in its stage buffer.  leaf is None
-    above stage 0, else (index, merges): the decided bit's index and, for
-    every aligned block of partial sums it completes, one (left, right)
-    index pair per bit of the block's right half, right XORed into left.
-    """
-
-    is_g: bool
-    stage: int
-    base: int
-    half: int
-    fixed: tuple
-    reuse: bool
-    leaf: tuple | None
-
-
-@lru_cache(maxsize=16)
-def _clock_plan(stages, arch):
+def _clock_plan(stages, arch, base=0, path=()):
     """Data-independent clock plan: the SC node operations grouped into
-    clocks, as a tuple of clocks, each a tuple of _Step.
+    clocks, yielded in order, each clock a tuple of (function, stage, base,
+    label) operations.  The plan holds structure only; _compiled_plan builds
+    the activations.
 
-    Walks the SC tree depth-first (F, left subtree, G, right subtree).
-    conventional gives every F and G visit its own clock; two_bit_sc gives a
-    size-2 node one clock for the merged PE; proposed gives each size-2 node
-    one clock holding its root-to-node F/G path plus the merged PE.  The
-    merged PE runs as a stage-0 F with no activation of its own, then a
-    stage-0 G whose activation is the FG one.
-
-    Reuse rule: an operation is reused when its (function, base) is what its
-    stage buffer holds and no operation above it has rewritten that buffer's
-    input since, which only a proposed path has: the combinational chain
-    gives the unchanged value again.  A reused G's feedback has not changed
-    either, because its left block's partial sums change only when its node
-    completes, and then the path has left that node.
+    An operation is an F or a G at stage (it reads stage + 1's buffer and
+    writes stage's) on the node whose first source index is base; label is
+    the function its activations carry, "F", "G" or "FG", or None for the
+    merged PE's F, which has none.  Walks the subtree at stage stages - 1
+    from base depth-first (F, left subtree, G, right subtree), with path the
+    operations above it that a proposed clock repeats.  conventional gives
+    every F and G visit its own clock; two_bit_sc gives a size-2 node one
+    clock for the merged PE; proposed gives each size-2 node one clock
+    holding its root-to-node F/G path plus the merged PE.  The merged PE
+    runs as a stage-0 F with no activation of its own, then a stage-0 G
+    whose activation is the FG one.
     """
-    clocks = []
-    held = [None] * stages  # (is_g, base) of the value each stage buffer holds
-
-    def emit(path):
-        clock = len(clocks)
-        steps = []
-        for function, stage, base, label in path:
-            is_g = function == "G"
-            half = 1 << stage
-            pes = [(j, j + half) for j in range(half)] if label else []
-            if is_g:
-                fixed = tuple(
-                    tuple(PeActivation(clock, stage, label, ab, 1, bit, base) for bit in (0, 1)) for ab in pes
-                )
-            else:
-                fixed = tuple(PeActivation(clock, stage, label, ab, 0, None, base) for ab in pes)
-            reuse = held[stage] == (is_g, base)
-            if not reuse:
-                held[stage] = (is_g, base)
-                held[:stage] = [None] * stage
-            leaf = None
-            if not stage:
-                index = base + is_g
-                merges = []
-                size = 1
-                while index & size:  # the aligned block of 2 * size bits that index completes
-                    merges += [(right - size, right) for right in range(index + 1 - size, index + 1)]
-                    size *= 2
-                leaf = (index, tuple(merges))
-            steps.append(_Step(is_g, stage, base, half, fixed, reuse, leaf))
-        clocks.append(tuple(steps))
-
-    def walk(stage, base, path):
-        if stage == 0 and arch != "conventional":
-            emit(path + (("F", 0, base, None), ("G", 0, base, "FG")))
-            return
-        for function, child_base in (("F", base), ("G", base + (1 << stage))):
-            op = (function, stage, base, function)
-            if arch == "proposed":
-                walk(stage - 1, child_base, path + (op,))
-            else:
-                emit((op,))
-                if stage:
-                    walk(stage - 1, child_base, ())
-
-    walk(stages - 1, 0, ())
-    return tuple(clocks)
+    stage = stages - 1
+    if stage == 0 and arch != "conventional":
+        yield path + (("F", 0, base, None), ("G", 0, base, "FG"))
+        return
+    for function, child_base in (("F", base), ("G", base + (1 << stage))):
+        op = (function, stage, base, function)
+        if arch == "proposed":
+            yield from _clock_plan(stage, arch, child_base, path + (op,))
+        else:
+            yield (op,)
+            if stage:
+                yield from _clock_plan(stage, arch, child_base)
 
 
 @lru_cache(maxsize=16)
 def _compiled_plan(stages, arch):
-    """_clock_plan(stages, arch) compiled: one function per clock.
+    """_clock_plan(stages, arch) compiled: one function per clock.  The one
+    cache of a plan, and the one owner of its PE activations.
 
-    A clock function runs its steps in order on the shared state of one
-    decode: the flat value list v of 2N entries, whose stage-s buffer is
+    A clock function runs its operations in order on the shared state of
+    one decode: the flat value list v of 2N entries, whose stage-s buffer is
     v[2^s : 2^(s+1)] (the channel LLRs are v[N:]), the partial sums s, the
     frozen flags z and the activation list acts.  It takes the F and G
     functions as arguments, so they are the ones bound when the plan runs,
-    and returns the clock's decisions as a list of (bit index, bit).
-
-    A step at stage s computes its node's 2^s outputs, one F or G call per
-    PE on its two operands, from the 2^(s+1) values of buffer s + 1 into
-    buffer s; a G's feedback is its PE's running partial sum, the transform
-    of the node's decided left block.  At stage 0 the one output is a leaf
-    LLR, and its bit is decided into a local, because the merges that follow
-    rewrite its partial sum: the bit sets s[index], then each aligned block
-    it completes XORs its right half into its left, one bit at a time.
-    Every step emits its activations, but a reused step does no arithmetic:
-    its (function, node) is what its stage buffer already holds and no new
-    step above it has changed its input (a proposed path repeating itself),
-    so each SC node operation is computed once per decode.
+    and returns the clock's decisions as a list of (bit index, bit).  The
+    clocks are compiled in order, and held, the (function, base) of the
+    value each stage buffer holds, carries the reuse rule from one clock to
+    the next (see _compile_clock).
     """
-    return tuple(_compile_clock(steps) for steps in _clock_plan(stages, arch))
+    held = [None] * stages
+    return tuple(_compile_clock(clock, ops, held) for clock, ops in enumerate(_clock_plan(stages, arch)))
 
 
-def _compile_clock(steps):
-    """One clock's steps as a straight-line function (see _compiled_plan).
+def _compile_clock(clock, ops, held):
+    """One clock's operations as a straight-line function (see
+    _compiled_plan), with its PE activations prebuilt: an F's, or both
+    feedback values of each G PE, from which the G's running partial sum
+    picks.  Updates held.
+
+    An operation at stage s computes its node's 2^s outputs, one F or G
+    call per PE on its two operands, from the 2^(s+1) values of buffer
+    s + 1 into buffer s; a G's feedback is its PE's running partial sum,
+    the transform of the node's decided left block.  At stage 0 the one
+    output is a leaf LLR, and its bit is decided into a local, because the
+    merges that follow rewrite its partial sum: the bit sets s[index], then
+    each aligned block it completes XORs its right half into its left, one
+    bit at a time.
+
+    Reuse rule: every operation emits its activations, but one whose
+    (function, base) its stage buffer holds, with no new operation above it
+    since, does no arithmetic.  Only a proposed path repeating itself meets
+    it: the combinational chain gives the unchanged value again, so each SC
+    node operation is computed once per decode.  A reused G's feedback has
+    not changed either, because its left block's partial sums change only
+    when its node completes, and then the path has left that node.
 
     One function per clock, not per plan: compiling holds a few KB per
     generated line until it ends, so a clock at a time keeps that bounded
@@ -279,22 +238,34 @@ def _compile_clock(steps):
     names = {"getitem": getitem}
     lines = []
     decided = []
-    for k, (is_g, stage, base, half, fixed, reuse, leaf) in enumerate(steps):
-        if fixed:
-            names[f"a{k}"] = fixed
+    for k, (function, stage, base, label) in enumerate(ops):
+        is_g = function == "G"
+        half = 1 << stage
+        if label:
+            names[f"a{k}"] = tuple(
+                tuple(PeActivation(clock, stage, label, ab, 1, bit, base) for bit in (0, 1))
+                if is_g
+                else PeActivation(clock, stage, label, ab, 0, None, base)
+                for ab in zip(range(half), range(half, 2 * half))
+            )
             lines.append(f"acts += map(getitem, a{k}, s[{base}:{base + half}])" if is_g else f"acts += a{k}")
-        if reuse:
+        if held[stage] == (function, base):
             continue
+        held[stage] = (function, base)
+        held[:stage] = [None] * stage
         calls = [
             f"g(v[{2 * half + j}], v[{3 * half + j}], s[{base + j}])" if is_g else f"f(v[{2 * half + j}], v[{3 * half + j}])"
             for j in range(half)
         ]
-        if leaf is None:
+        if stage:
             lines += [f"v[{half + j}] = {call}" for j, call in enumerate(calls)]
             continue
-        index, merges = leaf
+        index = base + is_g
         lines.append(f"b{index} = s[{index}] = 1 if {calls[0]} < 0 and not z[{index}] else 0")
-        lines += [f"s[{left}] ^= s[{right}]" for left, right in merges]
+        size = 1
+        while index & size:  # the aligned block of 2 * size bits that index completes
+            lines += [f"s[{right - size}] ^= s[{right}]" for right in range(index + 1 - size, index + 1)]
+            size *= 2
         decided.append(f"({index}, b{index})")
     lines.append(f"return [{', '.join(decided)}]")
     source = "def clock(v, s, z, acts, f, g):\n    " + "\n    ".join(lines) + "\n"

@@ -36,7 +36,7 @@ into its noise and slices it into a padded buffer, packs the sliced bits,
 decodes them through the syndrome table and counts the bits in which the
 decoded info bytes differ from the messages.  A chunk
 returns only its error frames, as (count, offsets, bit-error counts), and
-_cut, the one stop rule, cuts on the offsets.
+_point_record, the one stop rule, cuts on the offsets.
 
 A point runs its chunks in order (_simulate_point) and returns its record
 in the same shape, cut at its stop.  A pool of workers takes whole points
@@ -494,26 +494,22 @@ def run_sweep(config, workers=1):
         for point_index, ebn0 in enumerate(grid)
     )
 
-    def reduce(ebn0, results):
-        return _reduce_point(ebn0, results, config.min_frame_errors, payload_bits)
-
     if pool_size == 1:
-        return [reduce(ebn0, [_simulate_point(task)]) for ebn0, task in zip(grid, tasks)]
+        return [_reduce_point(ebn0, _simulate_point(task), payload_bits) for ebn0, task in zip(grid, tasks)]
     # through the module, which imports the class on first use (__getattr__)
     with sys.modules[__name__].ProcessPoolExecutor(pool_size, initializer=_init_worker) as pool:
         if len(grid) >= pool_size:
             futures = [pool.submit(_simulate_point, task) for task in tasks]
             try:
-                return [reduce(ebn0, [future.result()]) for ebn0, future in zip(grid, futures)]
+                return [_reduce_point(ebn0, future.result(), payload_bits) for ebn0, future in zip(grid, futures)]
             finally:
                 for future in futures:
                     future.cancel()
         # Passed inline, each results iterator is dropped, and its queued
-        # chunks are cancelled, as soon as _reduce_point returns.
-        return [
-            reduce(ebn0, _in_order(pool, _point_chunks(*task), pool_size))
-            for ebn0, task in zip(grid, tasks)
-        ]
+        # chunks are cancelled, as soon as _point_record returns.
+        stop = config.min_frame_errors
+        records = (_point_record(_in_order(pool, _point_chunks(*task), pool_size), stop) for task in tasks)
+        return [_reduce_point(ebn0, record, payload_bits) for ebn0, record in zip(grid, records)]
 
 
 def _point_chunks(config, point_seed, params):
@@ -528,26 +524,20 @@ def _simulate_point(args):
     """Simulate one point up to its stop: its chunks in index order, each
     made and run (through _simulate_chunk) only once the ones before it
     have not reached config.min_frame_errors, and the last one cut at the
-    exact frame that reaches it (_cut).
+    exact frame that reaches it (_point_record).
 
     Every chunk draws into one _draw_buffers set, made once before the
     first chunk and sized for the point's largest, min(_chunk_cap,
     max_frames) frames.
 
-    args is (config, point_seed, params).  Returns the point's record in a
-    chunk's shape, (frames, offsets, bit_errors), with offsets counted from
-    the point's frame 0; _reduce_point takes it as a one-chunk point.
+    args is (config, point_seed, params).  Returns the point's record (see
+    _point_record), which _reduce_point sums.
     """
     config = args[0]
     payload_bits, channel_bits, _ = _frame_shape(config)
     buffers = _draw_buffers(payload_bits, channel_bits, min(_chunk_cap(channel_bits), config.max_frames))
-    frames, offsets, bit_errors = 0, [], []
     chunks = map(_simulate_chunk, (chunk + (buffers,) for chunk in _point_chunks(*args)))
-    for count, chunk_offsets, chunk_bits in _cut(chunks, config.min_frame_errors):
-        offsets.append(chunk_offsets + frames)
-        bit_errors.append(chunk_bits)
-        frames += count
-    return frames, np.concatenate(offsets), np.concatenate(bit_errors)
+    return _point_record(chunks, config.min_frame_errors)
 
 
 def _in_order(pool, chunks, window):
@@ -566,31 +556,37 @@ def _in_order(pool, chunks, window):
             future.cancel()
 
 
-def _cut(results, min_frame_errors):
-    """Chunk results of one point in index order, up to the exact frame
-    whose error reaches min_frame_errors: the chunk holding that frame is
-    cut after it, and no result is taken after it.  The sweep's one stop
-    rule; cutting a record it has cut leaves it as it is."""
-    frame_errors = 0
-    for count, offsets, per_error_bits in results:
+def _point_record(results, min_frame_errors):
+    """One point's record from its chunk results in index order, cut at the
+    exact frame whose error reaches min_frame_errors: the chunk holding that
+    frame is cut after it, and no result is taken after it.  The sweep's
+    one stop rule.
+
+    The record has a chunk's shape, (frames, offsets, bit_errors), with
+    offsets counted from the point's frame 0.
+    """
+    frames = frame_errors = 0
+    offsets, bit_errors = [], []
+    for count, chunk_offsets, chunk_bits in results:
         needed = min_frame_errors - frame_errors
-        if len(offsets) >= needed:
-            yield int(offsets[needed - 1]) + 1, offsets[:needed], per_error_bits[:needed]
-            return
-        frame_errors += len(offsets)
-        yield count, offsets, per_error_bits
-
-
-def _reduce_point(ebn0, results, min_frame_errors, payload_bits):
-    """One point's SweepPoint from its chunk results, taken in index order
-    up to the exact frame whose error reaches min_frame_errors."""
-    frames = bit_errors = frame_errors = 0
-    for count, offsets, per_error_bits in _cut(results, min_frame_errors):
+        if len(chunk_offsets) >= needed:
+            count = int(chunk_offsets[needed - 1]) + 1
+            chunk_offsets, chunk_bits = chunk_offsets[:needed], chunk_bits[:needed]
+        offsets.append(chunk_offsets + frames)
+        bit_errors.append(chunk_bits)
         frames += count
-        bit_errors += int(per_error_bits.sum())
-        frame_errors += len(offsets)
+        frame_errors += len(chunk_offsets)
+        if frame_errors == min_frame_errors:
+            break
+    return frames, np.concatenate(offsets), np.concatenate(bit_errors)
+
+
+def _reduce_point(ebn0, record, payload_bits):
+    """One point's SweepPoint from its record (_point_record)."""
+    frames, offsets, per_error_bits = record
+    bit_errors = int(per_error_bits.sum())
     ber = bit_errors / (frames * payload_bits)
-    return SweepPoint(ebn0, frames, bit_errors, frame_errors, ber, frame_errors / frames)
+    return SweepPoint(ebn0, frames, bit_errors, len(offsets), ber, len(offsets) / frames)
 
 
 def emit_csv(points, metadata):

@@ -8,6 +8,7 @@ from polarfec import (
     architecture,
     bhattacharyya_construct,
     build_schedule,
+    cli,
     encode_nonsystematic,
     f_minsum,
     format_trace,
@@ -278,6 +279,22 @@ class TestScheduleLabel:
             schedule_label(12, "proposed")
         with pytest.raises(ValueError):
             schedule_label(16, "wavefront")
+
+    def test_table_and_labels_build_no_activation(self, monkeypatch, capsys):
+        """A plan is structure only: the labels and the latency table, even at
+        N = 4096, never build a PeActivation (only compiling a plan does)."""
+
+        def no_activation(*args, **kwargs):
+            raise AssertionError("PeActivation built")
+
+        monkeypatch.setattr(architecture, "PeActivation", no_activation)
+        for n_bits in (16, 1024, 4096):
+            for arch in ARCH_KINDS:
+                assert schedule_label(n_bits, arch).endswith("G)")
+        assert cli.main(["latency", "--code", "4096,2048"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:4]
+        assert [row.split()[0] for row in rows] == list(ARCH_KINDS)
+        assert [row.split()[-2:] for row in rows] == [["8190", "clocks"], ["6142", "clocks"], ["2048", "clocks"]]
 
 
 class TestTraceFormat:
