@@ -14,23 +14,25 @@ Three hardware scheduling strategies for the same processing-element tree
 Each design is a data-independent clock plan: the same SC node operations
 (F or G at a stage on a node), grouped into clocks.  A plan is structure
 only, so latency_clocks and schedule_label, and the latency table that
-prints them, build no activation.  Each clock of a plan is compiled, once
-per (stages, arch), into one straight-line Python function, as a clock is
-the combinational logic between two registers: one F or G call per PE,
-each G fed from running partial sums that every decision updates by scalar
-XORs.  The compiled plan (_compiled_plan) is the one cache and owns the
-PE activations, prebuilt as each clock is compiled.  A decode runs a
-plan's clock functions in order over one flat value list.  A proposed
-clock repeats its root-to-leaf path; an operation on it whose (function,
-node) already sits in its stage buffer, with no new operation above it, is
-the combinational chain giving an unchanged value again: it emits its
-activations for that clock but is not computed a second time.  So every
+prints them, build no activation.  Each plan is compiled, once per
+(stages, arch), into straight-line Python, as a clock is the combinational
+logic between two registers: one F or G call per PE, each G fed from
+running partial sums that every decision updates by scalar XORs.
+Consecutive clocks share one generated function up to a line budget, so a
+plan is one function at N = 16 and a few dozen at N = 1024.  The compiled
+plan (_compiled_plan) is the one cache and owns the PE activations,
+prebuilt as each clock is compiled.  A decode runs a plan's functions in
+order over one flat value list.  A proposed clock repeats its root-to-leaf
+path; an operation on it whose (function, node) already sits in its stage
+buffer, with no new operation above it, is the combinational chain giving
+an unchanged value again: it emits its activations for that clock but is
+not computed a second time.  So every
 design computes each SC node operation once, N*log2(N) F and G evaluations
 per decode, the same as the reference decoder.  The first decode of a
-plan pays for compiling it: a few ms per design at N = 16, about 0.5 s
-for conventional or two_bit_sc at N = 1024, and seconds for proposed at
-N = 1024, most of them spent prebuilding its N/2*(N-1) activations, which
-the cache then keeps.
+plan pays for compiling it: a few ms per design at N = 16, about 0.25 s
+for conventional or two_bit_sc at N = 1024, and about 1.3 s for proposed
+at N = 1024, most of it spent prebuilding its N/2*(N-1) activations,
+which the cache then keeps.
 The model is transaction level: combinational depth inside a clock is
 represented by activation ordering, not timing.  Traces are executed functionally with
 min-sum arithmetic and must decode bit-identically to the reference decoder;
@@ -39,6 +41,7 @@ the schedules reorder computation, never change it.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem
@@ -52,18 +55,14 @@ from .construction import is_power_of_two
 ARCH_KINDS = ("conventional", "two_bit_sc", "proposed")
 
 
-def _check_arch(arch):
-    if arch not in ARCH_KINDS:
-        raise ValueError(f"arch must be one of {ARCH_KINDS}, got {arch!r}")
-
-
 def latency_clocks(n_bits, arch):
     """Decode latency in clock cycles for a length-N code under one design.
 
     conventional: 2N - 2; two_bit_sc: 1.5N - 2; proposed: N/2.  Each formula
     is also realized constructively by build_schedule and the two must agree.
     """
-    _check_arch(arch)
+    if arch not in ARCH_KINDS:
+        raise ValueError(f"arch must be one of {ARCH_KINDS}, got {arch!r}")
     n_bits = _as_int("n_bits", n_bits)
     if not is_power_of_two(n_bits) or n_bits < 4:
         raise ValueError(f"n_bits must be a power of two >= 4, got {n_bits}")
@@ -132,17 +131,19 @@ def build_schedule(spec, arch, channel_llrs):
     """Emit and functionally execute one architecture's decode schedule.
 
     Min-sum arithmetic throughout; frozen positions are forced to zero
-    before any feedback.  total_clocks always equals latency_clocks.
+    before any feedback.  total_clocks always equals latency_clocks, which
+    is also the one check of arch.
     """
-    _check_arch(arch)
-    llrs = _llr_frame(channel_llrs, spec)
     expected = latency_clocks(spec.block_len, arch)
+    llrs = _llr_frame(channel_llrs, spec)
     values = [0.0] * spec.block_len + llrs.tolist()
     sums = [0] * spec.block_len
     frozen = spec.frozen_mask().tolist()
     activations = []
+    pairs = []
     f, g = f_minsum, g_func
-    pairs = [clock(values, sums, frozen, activations, f, g) for clock in _compiled_plan(spec.stages, arch)]
+    for clocks in _compiled_plan(spec.stages, arch):
+        pairs += clocks(values, sums, frozen, activations, f, g)
     total = activations[-1].clock + 1
     if total != expected:
         raise AssertionError(
@@ -189,30 +190,77 @@ def _clock_plan(stages, arch, base=0, path=()):
                 yield from _clock_plan(stage, arch, child_base)
 
 
+# Lines of generated source a plan function holds before the next clock goes
+# into the next function (see _compiled_plan).
+_LINE_BUDGET = 512
+
+
 @lru_cache(maxsize=16)
 def _compiled_plan(stages, arch):
-    """_clock_plan(stages, arch) compiled: one function per clock.  The one
-    cache of a plan, and the one owner of its PE activations.
+    """_clock_plan(stages, arch) compiled into a few functions, each a run of
+    consecutive clocks.  The one cache of a plan, and the one owner of its
+    PE activations.
 
-    A clock function runs its operations in order on the shared state of
-    one decode: the flat value list v of 2N entries, whose stage-s buffer is
-    v[2^s : 2^(s+1)] (the channel LLRs are v[N:]), the partial sums s, the
-    frozen flags z and the activation list acts.  It takes the F and G
-    functions as arguments, so they are the ones bound when the plan runs,
-    and returns the clock's decisions as a list of (bit index, bit).  The
-    clocks are compiled in order, and held, the (function, base) of the
-    value each stage buffer holds, carries the reuse rule from one clock to
-    the next (see _compile_clock).
+    A plan function runs its clocks' operations in order on the shared
+    state of one decode: the flat value list v of 2N entries, whose stage-s
+    buffer is v[2^s : 2^(s+1)] (the channel LLRs are v[N:]), the partial
+    sums s, the frozen flags z and the activation list acts.  It takes the F
+    and G functions as arguments, so they are the ones bound when the plan
+    runs, and returns one list per clock of that clock's decisions as
+    (bit index, bit).  The clocks are compiled in order, and held, the
+    (function, base) of the value each stage buffer holds, carries the
+    reuse rule from one clock to the next (see _compile_clock).
+
+    A clock joins the current function unless that would take it past
+    _LINE_BUDGET lines, so a function holds at most the budget or a single
+    longer clock: at N = 16 a plan is one function, and at N = 1024, as
+    compiling holds a few KB per generated line until it ends, the compile's
+    transient memory stays bounded.  The cyclic collector is paused while a
+    plan compiles, because proposed builds N/2*(N-1) activations and full
+    passes over them took about 40 % of its compile at N = 1024.
     """
-    held = [None] * stages
-    return tuple(_compile_clock(clock, ops, held) for clock, ops in enumerate(_clock_plan(stages, arch)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        held = [None] * stages
+        functions, run, size = [], [], 0
+        for clock, ops in enumerate(_clock_plan(stages, arch)):
+            compiled = _compile_clock(clock, ops, held)
+            if run and size + len(compiled[1]) > _LINE_BUDGET:
+                functions.append(_plan_function(run))
+                run, size = [], 0
+            run.append(compiled)
+            size += len(compiled[1])
+        functions.append(_plan_function(run))
+        return tuple(functions)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _plan_function(run):
+    """One function of a compiled plan from the _compile_clock output of its
+    clocks, run in order: their lines, then a return of one decision list per
+    clock."""
+    names = {"getitem": getitem}
+    lines = []
+    for clock_names, clock_lines, _ in run:
+        names.update(clock_names)
+        lines += clock_lines
+    lines.append("return [" + ", ".join(f"[{', '.join(decided)}]" for *_, decided in run) + "]")
+    source = "def clocks(v, s, z, acts, f, g):\n    " + "\n    ".join(lines) + "\n"
+    exec(compile(source, "<clock plan>", "exec"), names)
+    return names["clocks"]
 
 
 def _compile_clock(clock, ops, held):
-    """One clock's operations as a straight-line function (see
-    _compiled_plan), with its PE activations prebuilt: an F's, or both
+    """One clock's operations as straight-line source for a plan function
+    (see _compiled_plan), with its PE activations prebuilt: an F's, or both
     feedback values of each G PE, from which the G's running partial sum
-    picks.  Updates held.
+    picks.  Returns (names, lines, decided): the prebuilt activations under
+    keys c{clock}a{k}, unique in the plan, the source lines, and the clock's
+    decisions as "(index, b{index})" source; each bit is decided once per
+    plan, so its local b{index} is unique too.  Updates held.
 
     An operation at stage s computes its node's 2^s outputs, one F or G
     call per PE on its two operands, from the 2^(s+1) values of buffer
@@ -230,25 +278,22 @@ def _compile_clock(clock, ops, held):
     node operation is computed once per decode.  A reused G's feedback has
     not changed either, because its left block's partial sums change only
     when its node completes, and then the path has left that node.
-
-    One function per clock, not per plan: compiling holds a few KB per
-    generated line until it ends, so a clock at a time keeps that bounded
-    by the longest clock, not the whole plan.
     """
-    names = {"getitem": getitem}
+    names = {}
     lines = []
     decided = []
     for k, (function, stage, base, label) in enumerate(ops):
         is_g = function == "G"
         half = 1 << stage
         if label:
-            names[f"a{k}"] = tuple(
+            key = f"c{clock}a{k}"
+            names[key] = tuple(
                 tuple(PeActivation(clock, stage, label, ab, 1, bit, base) for bit in (0, 1))
                 if is_g
                 else PeActivation(clock, stage, label, ab, 0, None, base)
                 for ab in zip(range(half), range(half, 2 * half))
             )
-            lines.append(f"acts += map(getitem, a{k}, s[{base}:{base + half}])" if is_g else f"acts += a{k}")
+            lines.append(f"acts += map(getitem, {key}, s[{base}:{base + half}])" if is_g else f"acts += {key}")
         if held[stage] == (function, base):
             continue
         held[stage] = (function, base)
@@ -267,10 +312,7 @@ def _compile_clock(clock, ops, held):
             lines += [f"s[{right - size}] ^= s[{right}]" for right in range(index + 1 - size, index + 1)]
             size *= 2
         decided.append(f"({index}, b{index})")
-    lines.append(f"return [{', '.join(decided)}]")
-    source = "def clock(v, s, z, acts, f, g):\n    " + "\n    ".join(lines) + "\n"
-    exec(compile(source, "<clock plan>", "exec"), names)
-    return names["clock"]
+    return names, lines, decided
 
 
 def format_trace(trace):

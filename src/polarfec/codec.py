@@ -163,8 +163,9 @@ def _sc_recursion(values, frozen, f, g):
     values: the N channel values as a list; frozen: the length-N frozen mask
     as a list; f(a, b) and g(a, b, bit) combine one operand pair.  Returns
     (u_hat, x_hat), where x_hat is the root's partial sums, i.e.
-    transform(u_hat).  Every node is visited, so a decode always makes
-    N*log2(N) F and G evaluations.
+    transform(u_hat).  Every node is visited, and a size-2 node decides its
+    two leaves in place, so a decode always makes N/2*log2(N) F and as many
+    G evaluations, frozen and rate-0 subtrees included.
     """
     u_hat = [0] * len(values)
     x_hat = _sc_node(values, 0, frozen, f, g, u_hat)
@@ -173,19 +174,27 @@ def _sc_recursion(values, frozen, f, g):
 
 def _sc_node(v, base, frozen, f, g, u_hat):
     """_sc_recursion's node of len(v) values at bit base: decides its bits
-    into the list u_hat and returns its partial sums.  A module-level
-    function, not a closure, so a decode leaves no reference cycle behind."""
+    into the list u_hat and returns its partial sums.  A size-2 node is a
+    leaf pair, decided without recursing: an F, the bit u0, a G fed by u0,
+    the bit u1, and the partial sums [u0 ^ u1, u1]; only a length-1 code
+    reaches a single leaf.  A module-level function, not a closure, so a
+    decode leaves no reference cycle behind."""
     half = len(v) // 2
-    if not half:
-        if v[0] < 0 and not frozen[base]:
-            u_hat[base] = 1
-            return [1]
-        return [0]
-    a = v[:half]
-    b = v[half:]
-    left = _sc_node(list(map(f, a, b)), base, frozen, f, g, u_hat)
-    right = _sc_node(list(map(g, a, b, left)), base + half, frozen, f, g, u_hat)
-    return list(map(xor, left, right)) + right
+    if half > 1:
+        a = v[:half]
+        b = v[half:]
+        left = _sc_node(list(map(f, a, b)), base, frozen, f, g, u_hat)
+        right = _sc_node(list(map(g, a, b, left)), base + half, frozen, f, g, u_hat)
+        return list(map(xor, left, right)) + right
+    if half:
+        a, b = v
+        u0 = u_hat[base] = 1 if f(a, b) < 0 and not frozen[base] else 0
+        u1 = u_hat[base + 1] = 1 if g(a, b, u0) < 0 and not frozen[base + 1] else 0
+        return [u0 ^ u1, u1]
+    if v[0] < 0 and not frozen[base]:
+        u_hat[base] = 1
+        return [1]
+    return [0]
 
 
 def sc_decode(channel_llrs, spec, f_mode="minsum"):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import quantize_rows
+from .batch import _quantize_into, quantize_rows
 from .codec import DecodeResult, _as_int, _llr_frame, _sc_recursion, f_minsum, g_func
 
 
@@ -83,9 +83,10 @@ def sc_decode_fixed(channel_llrs, spec, qspec):
         sat_events += 1
         return max_mag if out > 0 else -max_mag
 
-    u_hat, x_hat = _sc_recursion(
-        quantize_rows(llrs, qspec).tolist(), spec.frozen_mask().tolist(), f_minsum, g_sat
-    )
+    # _llr_frame has checked llrs; _quantize_into overwrites its input.
+    raw = np.empty(spec.block_len, np.int32)
+    _quantize_into(llrs.copy(), qspec, raw)
+    u_hat, x_hat = _sc_recursion(raw.tolist(), spec.frozen_mask().tolist(), f_minsum, g_sat)
     return DecodeResult(
         u_hat=u_hat,
         x_hat=x_hat,

@@ -143,6 +143,42 @@ def genie_sc_posteriors(llrs, spec):
     return decisions, posteriors
 
 
+def fixed_sc_saturations(llrs, frozen, total_bits, fraction_bits):
+    """Fixed-point min-sum SC decode on whole-node integer arrays, counting
+    every clamp.
+
+    The channel LLRs are scaled by 2^fraction_bits, rounded half away from
+    zero and clamped to +/-(2^(total_bits-1) - 1), each clamp counted; then
+    every node, frozen and rate-0 subtrees included, runs its F as
+    sign*min over the whole left and right halves (which never clamps) and
+    its G as one array sum clamped the same way.  Leaves decide one bit
+    each, 1 iff the value is negative and the index is not frozen.
+
+    Returns (u_hat, clamps).
+    """
+    max_mag = (1 << (total_bits - 1)) - 1
+    scaled = np.floor(np.abs(np.asarray(llrs, dtype=float)) * 2.0**fraction_bits + 0.5)
+    clamps = int(np.count_nonzero(scaled > max_mag))
+    values = (np.sign(llrs) * np.minimum(scaled, max_mag)).astype(np.int64)
+    frozen = np.asarray(frozen, dtype=bool)
+    u_hat = np.zeros(len(values), dtype=np.uint8)
+
+    def node(alpha, base):
+        nonlocal clamps
+        if len(alpha) == 1:
+            u_hat[base] = alpha[0] < 0 and not frozen[base]
+            return u_hat[base : base + 1].astype(np.int64)
+        a, b = np.split(alpha, 2)
+        left = node(np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b)), base)
+        out = b + (1 - 2 * left) * a
+        clamps += int(np.count_nonzero(np.abs(out) > max_mag))
+        right = node(np.clip(out, -max_mag, max_mag), base + len(a))
+        return np.concatenate([left ^ right, right])
+
+    node(values, 0)
+    return u_hat, clamps
+
+
 def q_function(x):
     """Gaussian tail probability P(Z > x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))

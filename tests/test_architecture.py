@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +258,83 @@ class TestSchedules:
             build_schedule(spec16_11, "proposed", np.zeros(8))
         with pytest.raises(ValueError):
             build_schedule(spec16_11, "wavefront", np.zeros(16))
+
+
+def _plan_function_clocks(function):
+    """The clocks a compiled plan function runs, read from the names of the
+    activation tuples in its namespace (every clock has at least one)."""
+    return sorted({int(m[1]) for key in function.__globals__ if (m := re.fullmatch(r"c(\d+)a\d+", key))})
+
+
+def _plan_function_lines(function):
+    """Body lines of a plan function, its return line included."""
+    return max(line for *_, line in function.__code__.co_lines() if line) - 1
+
+
+class TestCompiledPlan:
+    @pytest.mark.parametrize("arch", ARCH_KINDS)
+    def test_small_plans_are_one_function(self, arch):
+        for stages in (2, 3, 4):
+            (function,) = architecture._compiled_plan(stages, arch)
+            assert _plan_function_clocks(function) == list(range(latency_clocks(1 << stages, arch)))
+
+    @pytest.mark.parametrize("arch", ARCH_KINDS)
+    def test_wide_plan_groups_clocks_within_budget(self, arch, monkeypatch):
+        # each function takes clocks until the next would pass the budget, so
+        # it holds no more than the budget plus its last clock; a fresh
+        # compile, with every clock's line count recorded
+        budget = architecture._LINE_BUDGET
+        compile_clock = architecture._compile_clock
+        clock_lines = []
+
+        def recorded(clock, ops, held):
+            compiled = compile_clock(clock, ops, held)
+            clock_lines.append(len(compiled[1]))
+            return compiled
+
+        monkeypatch.setattr(architecture, "_compile_clock", recorded)
+        functions = architecture._compiled_plan.__wrapped__(10, arch)
+        assert 1 < len(functions) < len(clock_lines) // 10
+        groups = [_plan_function_clocks(function) for function in functions]
+        assert [clock for clocks in groups for clock in clocks] == list(range(latency_clocks(1024, arch)))
+        for function, clocks, following in zip(functions, groups, groups[1:] + [None]):
+            lines = [clock_lines[clock] for clock in clocks]
+            assert _plan_function_lines(function) == sum(lines) + 1
+            assert sum(lines[:-1]) <= budget
+            assert sum(lines) <= budget or len(clocks) == 1
+            if following:
+                assert sum(lines) + clock_lines[following[0]] > budget
+
+    @pytest.mark.parametrize("n_bits", [16, 128])
+    @pytest.mark.parametrize("arch", ARCH_KINDS)
+    def test_one_decision_list_per_clock(self, arch, n_bits):
+        spec = bhattacharyya_construct(n_bits, 3 * n_bits // 4)
+        for llrs in trace_frames(n_bits)[:3]:
+            trace = build_schedule(spec, arch, llrs)
+            assert len(trace.decoded_pairs) == trace.total_clocks
+            assert all(type(per_clock) is list for per_clock in trace.decoded_pairs)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_compile_restores_collector_state(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for arch in ARCH_KINDS:
+                architecture._compiled_plan.__wrapped__(3, arch)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_failed_compile_restores_collector(self, monkeypatch):
+        def broken(clock, ops, held):
+            assert not gc.isenabled()
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(architecture, "_compile_clock", broken)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="compile failed"):
+            architecture._compiled_plan.__wrapped__(3, "proposed")
+        assert gc.isenabled()
 
 
 class TestScheduleLabel:

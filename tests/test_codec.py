@@ -20,6 +20,7 @@ from polarfec import (
     sc_decode_fixed,
 )
 from polarfec.batch import decode_exact_rows, decode_fixed_rows, decode_minsum_rows
+from polarfec.codec import _sc_recursion
 
 # Every scalar entry point that takes one frame of channel LLRs.
 FRAME_DECODERS = {
@@ -239,6 +240,30 @@ class TestScDecode:
     def test_tie_decides_zero(self, spec16_11):
         res = sc_decode(np.zeros(16), spec16_11)
         assert not res.u_hat.any()
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 4, 16, 1024])
+    def test_recursion_makes_every_f_and_g_call(self, n_bits, rng):
+        # size-2 nodes decide their leaf pair in place, still with one F and
+        # one G each, so a decode makes N/2*log2(N) of each, frozen bits too
+        calls = {"F": 0, "G": 0}
+
+        def f(a, b):
+            calls["F"] += 1
+            return f_minsum(a, b)
+
+        def g(a, b, bit):
+            calls["G"] += 1
+            return g_func(a, b, bit)
+
+        values = rng.normal(0.0, 2.0, n_bits).tolist()
+        frozen = (rng.random(n_bits) < 0.5).tolist()
+        u_hat, x_hat = _sc_recursion(values, frozen, f, g)
+        ops = n_bits // 2 * (n_bits.bit_length() - 1)
+        assert calls == {"F": ops, "G": ops}
+        assert not u_hat[frozen].any()
+        assert np.array_equal(x_hat, encode_nonsystematic(u_hat))
+        plain = _sc_recursion(values, frozen, f_minsum, g_func)
+        assert np.array_equal(u_hat, plain[0]) and np.array_equal(x_hat, plain[1])
 
     def test_rejects_wrong_length(self, spec16_11):
         with pytest.raises(ValueError):

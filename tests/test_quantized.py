@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import oracles
 from polarfec import (
     QuantSpec,
     bhattacharyya_construct,
@@ -115,6 +116,25 @@ class TestFixedDecode:
         spec = bhattacharyya_construct(2, 1)
         assert sc_decode_fixed([7.75, -7.75], spec, Q5).saturation_events == 2
         assert sc_decode_fixed([7.7499, -7.7499], spec, Q5).saturation_events == 0
+
+    @pytest.mark.parametrize("n_bits, k_infos", [(2, (1, 2)), (16, (2, 11, 16)), (128, (8, 64, 96))])
+    def test_saturation_events_match_oracle(self, n_bits, k_infos):
+        # saturating, tie-rich frames: grid values up to twice Q5's range, many
+        # zeros and equal magnitudes; low K freezes whole rate-0 subtrees
+        gen = np.random.default_rng(n_bits)
+        levels = np.array([-15.0, -7.75, -7.5, -4.0, -0.5, 0.0, 0.0, 0.5, 4.0, 7.5, 7.75, 15.0])
+        frames = [gen.choice(levels, n_bits) for _ in range(40)]
+        frames += [np.full(n_bits, 7.75), np.full(n_bits, -7.75), np.zeros(n_bits)]
+        clamped = 0
+        for k_info in k_infos:
+            spec = bhattacharyya_construct(n_bits, k_info)
+            for llrs in frames:
+                res = sc_decode_fixed(llrs, spec, Q5)
+                u_hat, clamps = oracles.fixed_sc_saturations(llrs, spec.frozen_mask(), 5, 1)
+                assert res.saturation_events == clamps
+                assert np.array_equal(res.u_hat, u_hat)
+                clamped += clamps > np.count_nonzero(np.abs(llrs) >= 7.75)
+        assert clamped  # some decode clamped inside the tree, not only the channel
 
     def test_result_invariants(self, spec16_11, rng):
         from polarfec import encode_nonsystematic
