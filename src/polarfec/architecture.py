@@ -20,19 +20,21 @@ logic between two registers: one F or G call per PE, each G fed from
 running partial sums that every decision updates by scalar XORs.
 Consecutive clocks share one generated function up to a line budget, so a
 plan is one function at N = 16 and a few dozen at N = 1024.  The compiled
-plan (_compiled_plan) is the one cache and owns the PE activations,
-prebuilt as each clock is compiled.  A decode runs a plan's functions in
-order over one flat value list.  A proposed clock repeats its root-to-leaf
-path; an operation on it whose (function, node) already sits in its stage
-buffer, with no new operation above it, is the combinational chain giving
-an unchanged value again: it emits its activations for that clock but is
-not computed a second time.  So every
-design computes each SC node operation once, N*log2(N) F and G evaluations
-per decode, the same as the reference decoder.  The first decode of a
-plan pays for compiling it: a few ms per design at N = 16, about 0.25 s
-for conventional or two_bit_sc at N = 1024, and about 1.3 s for proposed
-at N = 1024, most of it spent prebuilding its N/2*(N-1) activations,
-which the cache then keeps.
+plan (_compiled_plan) is the one cache, and it holds no PE activation:
+beside its functions it keeps a layout, one (clock, stage, label, node
+base) record per labelled operation, which is everything an activation
+holds but its feedback bit.  A decode runs a plan's functions in order
+over one flat value list and records only the feedback bits of its G
+operations; the trace's activations are a read-only view over the layout
+and those bits (ActivationView), which builds each PeActivation when it is
+read.  A proposed clock repeats its root-to-leaf path; an operation on it
+whose (function, node) already sits in its stage buffer, with no new
+operation above it, is the combinational chain giving an unchanged value
+again: it keeps its activations for that clock but is not computed a
+second time.  So every design computes each SC node operation once,
+N*log2(N) F and G evaluations per decode, the same as the reference
+decoder.  The first decode of a plan pays for compiling it: a few ms per
+design at N = 16, and a few tenths of a second per design at N = 1024.
 The model is transaction level: combinational depth inside a clock is
 represented by activation ordering, not timing.  Traces are executed functionally with
 min-sum arithmetic and must decode bit-identically to the reference decoder;
@@ -42,9 +44,11 @@ the schedules reorder computation, never change it.
 from __future__ import annotations
 
 import gc
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem
 
 import numpy as np
 
@@ -108,13 +112,84 @@ class PeActivation:
     node_base: int = 0
 
 
+class ActivationView(Sequence):
+    """Read-only sequence of one decode's PE activations, in schedule order.
+
+    It holds a plan's layout, which is the data-independent part of its
+    activations (see _compiled_plan), and the feedback bits one decode
+    recorded, and builds each PeActivation when it is indexed or iterated.
+    records holds one (clock, stage, label, base, feedback start) record
+    per labelled operation, in the order the plan runs them; an operation
+    at stage s has 2^s activations, one per PE.  starts[r] is the index of
+    record r's first activation, and starts[-1] the activation count.  A G
+    or FG record's PEs take their feedback bits, in PE order, from its
+    feedback start on.  The view equals a tuple of the same activations,
+    hashes as that tuple does, and a slice of it is such a tuple.
+    """
+
+    __slots__ = ("_records", "_starts", "_feedback")
+
+    def __init__(self, records, starts, feedback):
+        self._records = records
+        self._starts = starts
+        self._feedback = feedback
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        index = operator.index(index)
+        starts = self._starts
+        if index < 0:
+            index += starts[-1]
+        if not 0 <= index < starts[-1]:
+            raise IndexError("activation index out of range")
+        record = bisect_right(starts, index) - 1
+        clock, stage, label, base, feedback = self._records[record]
+        pe = index - starts[record]
+        if label == "F":
+            return PeActivation(clock, stage, label, (pe, pe + (1 << stage)), 0, None, base)
+        return PeActivation(clock, stage, label, (pe, pe + (1 << stage)), 1, self._feedback[feedback + pe], base)
+
+    def __iter__(self):
+        for clock, stage, function, a, b, sel, bit, base in self._rows():
+            yield PeActivation(clock, stage, function, (a, b), sel, bit, base)
+
+    def _rows(self):
+        """(clock, stage, function, a, b, sel, feedback, node base) per
+        activation, in order: each activation's fields, flat."""
+        for clock, stage, label, base, feedback in self._records:
+            half = 1 << stage
+            if label == "F":
+                for pe in range(half):
+                    yield clock, stage, label, pe, pe + half, 0, None, base
+            else:
+                for pe, bit in enumerate(self._feedback[feedback : feedback + half]):
+                    yield clock, stage, label, pe, pe + half, 1, bit, base
+
+    def __eq__(self, other):
+        if isinstance(other, ActivationView):
+            return self._records == other._records and self._feedback == other._feedback
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """Per-clock PE activation record of one decode, plus its decisions."""
+    """Per-clock PE activation record of one decode, plus its decisions.
+
+    activations is an ActivationView over the plan's layout and the
+    decode's feedback bits."""
 
     arch: str
     code: object
-    activations: tuple
+    activations: Sequence
     total_clocks: int
     decoded_pairs: tuple  # one list of (bit_index, bit_value) per clock
 
@@ -139,12 +214,13 @@ def build_schedule(spec, arch, channel_llrs):
     values = [0.0] * spec.block_len + llrs.tolist()
     sums = [0] * spec.block_len
     frozen = spec.frozen_mask().tolist()
-    activations = []
+    functions, records, starts = _compiled_plan(spec.stages, arch)
+    feedback = []
     pairs = []
     f, g = f_minsum, g_func
-    for clocks in _compiled_plan(spec.stages, arch):
-        pairs += clocks(values, sums, frozen, activations, f, g)
-    total = activations[-1].clock + 1
+    for clocks in functions:
+        pairs += clocks(values, sums, frozen, feedback, f, g)
+    total = records[-1][0] + 1
     if total != expected:
         raise AssertionError(
             f"schedule produced {total} clocks, formula says {expected}"
@@ -152,7 +228,7 @@ def build_schedule(spec, arch, channel_llrs):
     return ScheduleTrace(
         arch=arch,
         code=spec,
-        activations=tuple(activations),
+        activations=ActivationView(records, starts, feedback),
         total_clocks=total,
         decoded_pairs=tuple(pairs),
     )
@@ -161,8 +237,8 @@ def build_schedule(spec, arch, channel_llrs):
 def _clock_plan(stages, arch, base=0, path=()):
     """Data-independent clock plan: the SC node operations grouped into
     clocks, yielded in order, each clock a tuple of (function, stage, base,
-    label) operations.  The plan holds structure only; _compiled_plan builds
-    the activations.
+    label) operations.  The plan holds structure only; _compiled_plan lays
+    out the activations.
 
     An operation is an F or a G at stage (it reads stage + 1's buffer and
     writes stage's) on the node whose first source index is base; label is
@@ -197,42 +273,55 @@ _LINE_BUDGET = 512
 
 @lru_cache(maxsize=16)
 def _compiled_plan(stages, arch):
-    """_clock_plan(stages, arch) compiled into a few functions, each a run of
-    consecutive clocks.  The one cache of a plan, and the one owner of its
-    PE activations.
+    """_clock_plan(stages, arch) compiled into (functions, records, starts):
+    a few functions, each a run of consecutive clocks, run in order, and the
+    layout of the plan's activations.  The one cache of a plan; it holds no
+    PE activation.
 
     A plan function runs its clocks' operations in order on the shared
     state of one decode: the flat value list v of 2N entries, whose stage-s
     buffer is v[2^s : 2^(s+1)] (the channel LLRs are v[N:]), the partial
-    sums s, the frozen flags z and the activation list acts.  It takes the F
+    sums s, the frozen flags z and the feedback list fb.  It takes the F
     and G functions as arguments, so they are the ones bound when the plan
     runs, and returns one list per clock of that clock's decisions as
     (bit index, bit).  The clocks are compiled in order, and held, the
     (function, base) of the value each stage buffer holds, carries the
     reuse rule from one clock to the next (see _compile_clock).
 
+    The layout (records and starts, see ActivationView) has one record per
+    labelled operation, which is at most stages records per clock, in the
+    order the functions append the operations' feedback bits to fb.
+
     A clock joins the current function unless that would take it past
     _LINE_BUDGET lines, so a function holds at most the budget or a single
     longer clock: at N = 16 a plan is one function, and at N = 1024, as
     compiling holds a few KB per generated line until it ends, the compile's
     transient memory stays bounded.  The cyclic collector is paused while a
-    plan compiles, because proposed builds N/2*(N-1) activations and full
-    passes over them took about 40 % of its compile at N = 1024.
+    plan compiles and its state restored after, even when the compile
+    fails; the pause does not change a compile's time measurably (about
+    0.3 s for an N = 1024 plan either way).
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         held = [None] * stages
+        records, starts, feedback = [], [0], 0
         functions, run, size = [], [], 0
         for clock, ops in enumerate(_clock_plan(stages, arch)):
-            compiled = _compile_clock(clock, ops, held)
-            if run and size + len(compiled[1]) > _LINE_BUDGET:
+            for function, stage, base, label in ops:
+                if label:
+                    records.append((clock, stage, label, base, feedback))
+                    starts.append(starts[-1] + (1 << stage))
+                    if function == "G":
+                        feedback += 1 << stage
+            compiled = _compile_clock(ops, held)
+            if run and size + len(compiled[0]) > _LINE_BUDGET:
                 functions.append(_plan_function(run))
                 run, size = [], 0
             run.append(compiled)
-            size += len(compiled[1])
+            size += len(compiled[0])
         functions.append(_plan_function(run))
-        return tuple(functions)
+        return tuple(functions), tuple(records), tuple(starts)
     finally:
         if enabled:
             gc.enable()
@@ -242,36 +331,32 @@ def _plan_function(run):
     """One function of a compiled plan from the _compile_clock output of its
     clocks, run in order: their lines, then a return of one decision list per
     clock."""
-    names = {"getitem": getitem}
-    lines = []
-    for clock_names, clock_lines, _ in run:
-        names.update(clock_names)
-        lines += clock_lines
-    lines.append("return [" + ", ".join(f"[{', '.join(decided)}]" for *_, decided in run) + "]")
-    source = "def clocks(v, s, z, acts, f, g):\n    " + "\n    ".join(lines) + "\n"
+    lines = [line for clock_lines, _ in run for line in clock_lines]
+    lines.append("return [" + ", ".join(f"[{', '.join(decided)}]" for _, decided in run) + "]")
+    source = "def clocks(v, s, z, fb, f, g):\n    " + "\n    ".join(lines) + "\n"
+    names = {}
     exec(compile(source, "<clock plan>", "exec"), names)
     return names["clocks"]
 
 
-def _compile_clock(clock, ops, held):
+def _compile_clock(ops, held):
     """One clock's operations as straight-line source for a plan function
-    (see _compiled_plan), with its PE activations prebuilt: an F's, or both
-    feedback values of each G PE, from which the G's running partial sum
-    picks.  Returns (names, lines, decided): the prebuilt activations under
-    keys c{clock}a{k}, unique in the plan, the source lines, and the clock's
-    decisions as "(index, b{index})" source; each bit is decided once per
-    plan, so its local b{index} is unique too.  Updates held.
+    (see _compiled_plan).  Returns (lines, decided): the source lines, and
+    the clock's decisions as "(index, b{index})" source; each bit is decided
+    once per plan, so its local b{index} is unique in the plan.  Updates
+    held.
 
     An operation at stage s computes its node's 2^s outputs, one F or G
     call per PE on its two operands, from the 2^(s+1) values of buffer
     s + 1 into buffer s; a G's feedback is its PE's running partial sum,
-    the transform of the node's decided left block.  At stage 0 the one
-    output is a leaf LLR, and its bit is decided into a local, because the
-    merges that follow rewrite its partial sum: the bit sets s[index], then
-    each aligned block it completes XORs its right half into its left, one
-    bit at a time.
+    the transform of the node's decided left block, and a labelled G first
+    appends those 2^s bits to fb.  An F records nothing per decode.  At
+    stage 0 the one output is a leaf LLR, and its bit is decided into a
+    local, because the merges that follow rewrite its partial sum: the bit
+    sets s[index], then each aligned block it completes XORs its right half
+    into its left, one bit at a time.
 
-    Reuse rule: every operation emits its activations, but one whose
+    Reuse rule: every operation keeps its activations, but one whose
     (function, base) its stage buffer holds, with no new operation above it
     since, does no arithmetic.  Only a proposed path repeating itself meets
     it: the combinational chain gives the unchanged value again, so each SC
@@ -279,21 +364,13 @@ def _compile_clock(clock, ops, held):
     not changed either, because its left block's partial sums change only
     when its node completes, and then the path has left that node.
     """
-    names = {}
     lines = []
     decided = []
-    for k, (function, stage, base, label) in enumerate(ops):
+    for function, stage, base, label in ops:
         is_g = function == "G"
         half = 1 << stage
-        if label:
-            key = f"c{clock}a{k}"
-            names[key] = tuple(
-                tuple(PeActivation(clock, stage, label, ab, 1, bit, base) for bit in (0, 1))
-                if is_g
-                else PeActivation(clock, stage, label, ab, 0, None, base)
-                for ab in zip(range(half), range(half, 2 * half))
-            )
-            lines.append(f"acts += map(getitem, {key}, s[{base}:{base + half}])" if is_g else f"acts += {key}")
+        if label and is_g:
+            lines.append(f"fb += s[{base}:{base + half}]" if stage else f"fb.append(s[{base}])")
         if held[stage] == (function, base):
             continue
         held[stage] = (function, base)
@@ -312,18 +389,17 @@ def _compile_clock(clock, ops, held):
             lines += [f"s[{right - size}] ^= s[{right}]" for right in range(index + 1 - size, index + 1)]
             size *= 2
         decided.append(f"({index}, b{index})")
-    return names, lines, decided
+    return lines, decided
+
+
+def trace_lines(trace):
+    """The lines of format_trace, each ending in a newline, one at a time:
+    'clk=.. stage=.. fn=.. a=.. b=.. sel=..', then ' u=..' for a G or FG."""
+    for clock, stage, function, a, b, sel, bit, _ in trace.activations._rows():
+        line = f"clk={clock} stage={stage} fn={function} a={a} b={b} sel={sel}"
+        yield f"{line}\n" if bit is None else f"{line} u={bit}\n"
 
 
 def format_trace(trace):
     """Line-oriented text dump: one 'clk=.. stage=.. fn=..' line per PE op."""
-    lines = []
-    for act in trace.activations:
-        line = (
-            f"clk={act.clock} stage={act.stage} fn={act.function}"
-            f" a={act.operand_indices[0]} b={act.operand_indices[1]} sel={act.sel}"
-        )
-        if act.partial_sum_feedback is not None:
-            line += f" u={act.partial_sum_feedback}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return "".join(trace_lines(trace))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 import numpy as np
 
@@ -59,10 +61,15 @@ def _load_spec(args):
 
 
 def _write_out(text, out):
-    if out in (None, "stdout", "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
+    _write_blocks((text,), out)
+
+
+def _write_blocks(pieces, out, block=4096):
+    """Write an iterable of text pieces to out, joined a block of pieces at a
+    time, so the whole text is never held at once."""
+    pieces = iter(pieces)
+    with nullcontext(sys.stdout) if out in (None, "stdout", "-") else open(out, "w") as fh:
+        while text := "".join(islice(pieces, block)):
             fh.write(text)
 
 
@@ -154,7 +161,7 @@ def _cmd_latency(args):
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         llrs = gen.normal(0.0, 2.0, size=spec.block_len)
         trace = architecture.build_schedule(spec, args.arch, llrs)
-        _write_out(architecture.format_trace(trace), args.out)
+        _write_blocks(architecture.trace_lines(trace), args.out)
         return 0
     labels = {arch: architecture.schedule_label(n, arch) for arch in architecture.ARCH_KINDS}
     width = max(22, *map(len, labels.values()))

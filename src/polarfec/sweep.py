@@ -476,8 +476,9 @@ def run_sweep(config, workers=1):
     workers > 1 the whole sweep shares one
     process pool of min(workers, chunks per point, CPU count) processes,
     each set up by _init_worker.  A grid of at least that many points hands
-    the pool whole points (_simulate_point, submitted in grid order), so a
-    worker runs a point's chunks back to back; a smaller grid hands it the
+    the pool whole points (_simulate_point, submitted in descending Eb/N0
+    order and reduced in grid order), so a worker runs a point's chunks
+    back to back; a smaller grid hands it the
     chunks of one point at a time, at most one per process in flight
     (_in_order).  At one worker each point runs _simulate_point in this
     process.  config was checked, and its code resolved, when it was built.
@@ -499,11 +500,17 @@ def run_sweep(config, workers=1):
     # through the module, which imports the class on first use (__getattr__)
     with sys.modules[__name__].ProcessPoolExecutor(pool_size, initializer=_init_worker) as pool:
         if len(grid) >= pool_size:
-            futures = [pool.submit(_simulate_point, task) for task in tasks]
+            # Heaviest first: with early stop a point's frames grow with Eb/N0,
+            # so the longest points start first and no worker idles at the
+            # tail; waiting in submission order, a failure cancels the rest soon.
+            tasks = list(tasks)
+            order = sorted(range(len(grid)), key=grid.__getitem__, reverse=True)
+            futures = {index: pool.submit(_simulate_point, tasks[index]) for index in order}
             try:
-                return [_reduce_point(ebn0, future.result(), payload_bits) for ebn0, future in zip(grid, futures)]
+                records = {index: futures[index].result() for index in order}
+                return [_reduce_point(ebn0, records[index], payload_bits) for index, ebn0 in enumerate(grid)]
             finally:
-                for future in futures:
+                for future in futures.values():
                     future.cancel()
         # Passed inline, each results iterator is dropped, and its queued
         # chunks are cancelled, as soon as _point_record returns.

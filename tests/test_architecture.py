@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from polarfec import (
     latency_clocks,
     sc_decode,
 )
-from polarfec.architecture import schedule_label
+from polarfec.architecture import PeActivation, schedule_label
 
 
 class TestLatency:
@@ -260,10 +259,20 @@ class TestSchedules:
             build_schedule(spec16_11, "wavefront", np.zeros(16))
 
 
-def _plan_function_clocks(function):
-    """The clocks a compiled plan function runs, read from the names of the
-    activation tuples in its namespace (every clock has at least one)."""
-    return sorted({int(m[1]) for key in function.__globals__ if (m := re.fullmatch(r"c(\d+)a\d+", key))})
+def _plan_function_clocks(functions, stages):
+    """The clocks each function of a compiled plan runs, and the feedback
+    bits each appends, read off one decode of an all-zero frame: a function
+    returns one decision list per clock it runs."""
+    n_bits = 1 << stages
+    values, sums, frozen, feedback = [0.0] * 2 * n_bits, [0] * n_bits, [False] * n_bits, []
+    groups, appended, first = [], [], 0
+    for function in functions:
+        before = len(feedback)
+        count = len(function(values, sums, frozen, feedback, f_minsum, g_func))
+        groups.append(list(range(first, first + count)))
+        appended.append(len(feedback) - before)
+        first += count
+    return groups, appended
 
 
 def _plan_function_lines(function):
@@ -275,27 +284,29 @@ class TestCompiledPlan:
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_small_plans_are_one_function(self, arch):
         for stages in (2, 3, 4):
-            (function,) = architecture._compiled_plan(stages, arch)
-            assert _plan_function_clocks(function) == list(range(latency_clocks(1 << stages, arch)))
+            functions, *_ = architecture._compiled_plan(stages, arch)
+            (function,) = functions
+            groups, _ = _plan_function_clocks(functions, stages)
+            assert groups == [list(range(latency_clocks(1 << stages, arch)))]
 
     @pytest.mark.parametrize("arch", ARCH_KINDS)
     def test_wide_plan_groups_clocks_within_budget(self, arch, monkeypatch):
         # each function takes clocks until the next would pass the budget, so
         # it holds no more than the budget plus its last clock; a fresh
-        # compile, with every clock's line count recorded
+        # compile, with every clock's line count recorded in clock order
         budget = architecture._LINE_BUDGET
         compile_clock = architecture._compile_clock
         clock_lines = []
 
-        def recorded(clock, ops, held):
-            compiled = compile_clock(clock, ops, held)
-            clock_lines.append(len(compiled[1]))
+        def recorded(ops, held):
+            compiled = compile_clock(ops, held)
+            clock_lines.append(len(compiled[0]))
             return compiled
 
         monkeypatch.setattr(architecture, "_compile_clock", recorded)
-        functions = architecture._compiled_plan.__wrapped__(10, arch)
+        functions, records, _ = architecture._compiled_plan.__wrapped__(10, arch)
         assert 1 < len(functions) < len(clock_lines) // 10
-        groups = [_plan_function_clocks(function) for function in functions]
+        groups, appended = _plan_function_clocks(functions, 10)
         assert [clock for clocks in groups for clock in clocks] == list(range(latency_clocks(1024, arch)))
         for function, clocks, following in zip(functions, groups, groups[1:] + [None]):
             lines = [clock_lines[clock] for clock in clocks]
@@ -304,6 +315,10 @@ class TestCompiledPlan:
             assert sum(lines) <= budget or len(clocks) == 1
             if following:
                 assert sum(lines) + clock_lines[following[0]] > budget
+        # each function appends the feedback bits its clocks' G records lay out
+        for clocks, count in zip(groups, appended):
+            g_records = [r for r in records if r[0] in clocks and r[2] != "F"]
+            assert count == sum(1 << stage for _, stage, *_ in g_records)
 
     @pytest.mark.parametrize("n_bits", [16, 128])
     @pytest.mark.parametrize("arch", ARCH_KINDS)
@@ -326,7 +341,7 @@ class TestCompiledPlan:
             (gc.enable if was else gc.disable)()
 
     def test_failed_compile_restores_collector(self, monkeypatch):
-        def broken(clock, ops, held):
+        def broken(ops, held):
             assert not gc.isenabled()
             raise RuntimeError("compile failed")
 
@@ -335,6 +350,97 @@ class TestCompiledPlan:
         with pytest.raises(RuntimeError, match="compile failed"):
             architecture._compiled_plan.__wrapped__(3, "proposed")
         assert gc.isenabled()
+
+
+def expanded_activations(spec, arch, llrs):
+    """One decode's activations expanded from _clock_plan's operations, apart
+    from the trace view: a labelled operation at stage s has one activation
+    per PE j, on operands (j, j + 2^s), and a G's feedback is the transform
+    of its node's left block of the reference decode's u_hat."""
+    u_hat = sc_decode(llrs, spec, "minsum").u_hat
+    activations = []
+    for clock, ops in enumerate(architecture._clock_plan(spec.stages, arch)):
+        for function, stage, base, label in ops:
+            if not label:
+                continue
+            half = 1 << stage
+            feedback = encode_nonsystematic(u_hat[base : base + half]).tolist() if function == "G" else [None] * half
+            for pe, bit in enumerate(feedback):
+                sel = 0 if bit is None else 1
+                activations.append(PeActivation(clock, stage, label, (pe, pe + half), sel, bit, base))
+    return tuple(activations)
+
+
+def no_activation(*args, **kwargs):
+    raise AssertionError("PeActivation built")
+
+
+class TestActivationView:
+    @pytest.mark.parametrize("n_bits", [4, 16, 128])
+    @pytest.mark.parametrize("arch", ARCH_KINDS)
+    def test_view_matches_expanded_plan(self, arch, n_bits):
+        spec = bhattacharyya_construct(n_bits, 3 * n_bits // 4)
+        for llrs in trace_frames(n_bits)[:4]:
+            view = build_schedule(spec, arch, llrs).activations
+            expected = expanded_activations(spec, arch, llrs)
+            count = len(expected)
+            assert len(view) == count == ACTIVATION_COUNTS[arch](n_bits, spec.stages)
+            assert tuple(view) == expected and list(view) == list(expected)  # iterates again
+            assert view == expected and expected == view and not view != expected
+            assert view != expected[:-1] and view != list(expected)  # equal to a tuple only
+            assert hash(view) == hash(expected)
+            indices = range(count) if count < 300 else [0, 1, count // 3, count // 2, count - 2, count - 1]
+            for index in indices:
+                assert view[index] == expected[index]
+                assert view[index - count] == expected[index - count]
+            assert view[np.int64(count - 1)] == expected[-1]
+            for part in (slice(None), slice(3, 17, 2), slice(-5, None), slice(None, None, -3), slice(count, None)):
+                assert view[part] == expected[part]
+                assert type(view[part]) is tuple
+            for index in (count, count + 7, -count - 1):
+                with pytest.raises(IndexError):
+                    view[index]
+            assert expected[count // 2] in view
+            assert view.index(expected[count // 2]) == expected.index(expected[count // 2])
+
+    def test_views_of_equal_decodes_are_equal(self, spec16_11, noisy_frames):
+        for arch in ARCH_KINDS:
+            first, again = (build_schedule(spec16_11, arch, noisy_frames[0]) for _ in range(2))
+            other = build_schedule(spec16_11, arch, noisy_frames[1])
+            assert first == again and first.activations is not again.activations
+            assert hash(first.activations) == hash(again.activations)
+            assert (first.activations == other.activations) == (tuple(first.activations) == tuple(other.activations))
+            # a layout compiled again equals the cached one
+            _, records, starts = architecture._compiled_plan.__wrapped__(spec16_11.stages, arch)
+            recompiled = architecture.ActivationView(records, starts, first.activations._feedback)
+            assert recompiled == first.activations
+
+    def test_building_a_wide_trace_builds_no_activation(self, monkeypatch):
+        # the view builds an activation only when one is read: a (1024,512)
+        # proposed trace's length, clocks and decisions build none
+        spec = bhattacharyya_construct(1024, 512)
+        llrs = np.random.default_rng(1024).normal(0.0, 2.0, 1024)
+        monkeypatch.setattr(architecture, "PeActivation", no_activation)
+        trace = build_schedule(spec, "proposed", llrs)
+        assert len(trace.activations) == 523_776 == ACTIVATION_COUNTS["proposed"](1024, 10)
+        assert trace.total_clocks == 512
+        assert np.array_equal(trace.decoded_bits(), sc_decode(llrs, spec, "minsum").u_hat)
+        with pytest.raises(AssertionError, match="PeActivation built"):
+            trace.activations[0]
+
+    @pytest.mark.parametrize("arch", ARCH_KINDS)
+    def test_layout_size(self, arch):
+        # one record per labelled operation, at most stages per clock, where
+        # a trace has one activation per PE of each
+        for stages in (2, 4, 7, 10):
+            n_bits = 1 << stages
+            _, records, starts = architecture._compiled_plan(stages, arch)
+            assert len(records) <= latency_clocks(n_bits, arch) * stages
+            assert len(starts) == len(records) + 1
+            assert starts[-1] == ACTIVATION_COUNTS[arch](n_bits, stages)
+        if arch == "proposed":
+            assert len(records) == 5_120 == 512 * 10
+            assert starts[-1] == 523_776
 
 
 class TestScheduleLabel:
@@ -361,11 +467,7 @@ class TestScheduleLabel:
 
     def test_table_and_labels_build_no_activation(self, monkeypatch, capsys):
         """A plan is structure only: the labels and the latency table, even at
-        N = 4096, never build a PeActivation (only compiling a plan does)."""
-
-        def no_activation(*args, **kwargs):
-            raise AssertionError("PeActivation built")
-
+        N = 4096, never build a PeActivation (only reading a trace does)."""
         monkeypatch.setattr(architecture, "PeActivation", no_activation)
         for n_bits in (16, 1024, 4096):
             for arch in ARCH_KINDS:

@@ -346,6 +346,18 @@ class TestLatencyCommand:
         clocks = {line.split()[0] for line in out.strip().splitlines()}
         assert len(clocks) == 14  # 2N - 2 for N = 8
 
+    def test_trace_written_to_file_in_blocks(self, capsys, tmp_path):
+        # 8128 lines: the trace is written a block of lines at a time
+        path = tmp_path / "wide.trace"
+        code, out, _ = run_cli(
+            capsys, "latency", "--code", "128,96", "--arch", "proposed", "--trace", "--seed", "5", "--out", str(path)
+        )
+        assert code == 0 and out == ""
+        llrs = np.random.Generator(np.random.Philox(key=[5, 0])).normal(0.0, 2.0, size=128)
+        text = format_trace(build_schedule(bhattacharyya_construct(128, 96), "proposed", llrs))
+        assert path.read_text() == text
+        assert text.count("\n") == 8128
+
     def test_trace_uses_spec_file(self, capsys, tmp_path, spec16_11):
         spec_path = tmp_path / "code.spec"
         spec_path.write_text("16 11\n0 1 2 3 4\n")

@@ -831,6 +831,19 @@ class TestSweepDriver:
         assert pools == [3, 2]
         assert RecordingPool.submitted == ["_simulate_point"] * 2
 
+    def test_pool_takes_points_heaviest_first_and_returns_grid_order(self, pools):
+        # with early stop a point's frames grow with Eb/N0, so the pool gets
+        # the highest Eb/N0 first; the sweep still reports in grid order
+        config = small_config(ebn0_start=0.0, ebn0_stop=8.0, max_frames=4097, min_frame_errors=1)
+        points = run_sweep(config, workers=2)
+        assert points == run_sweep(config)
+        assert [point.ebn0_db for point in points] == config.ebn0_points()
+        assert RecordingPool.submitted == ["_simulate_point"] * 9
+        submitted = [task[2].ebn0_db for (task,) in RecordingPool.tasks]
+        assert submitted == sorted(config.ebn0_points(), reverse=True)
+        seeds = [task[1] for (task,) in RecordingPool.tasks]
+        assert seeds == [point_seed_for(config.master_seed, index) for index in reversed(range(9))]
+
     def test_pool_tasks_hold_no_arrays(self, pools):
         # every task is pickled to a worker, which draws into buffers it
         # makes: a point's own set, or a chunk's on the chunk path that a
@@ -894,8 +907,9 @@ class TestSweepDriver:
         assert done.stdout.strip() == repr(run_sweep(small_config()))
 
     def test_failed_point_raises_and_cancels_queued_points(self, monkeypatch, pools):
+        # points are submitted from the highest Eb/N0 down: 7 dB is the second
         config = small_config(ebn0_start=0.0, ebn0_stop=8.0)
-        failing_seed = point_seed_for(config.master_seed, 1)
+        failing_seed = point_seed_for(config.master_seed, 7)
         simulate_chunk = sweep_module._simulate_chunk
 
         def failing_chunk(args):
